@@ -31,6 +31,9 @@ func DefaultConfig() Config { return Config{Repeats: 5} }
 type Measurement struct {
 	Schedule *schedule.SuperSchedule
 	Seconds  float64
+	// Predicted is the cost-model score the tuner ranked this candidate by
+	// (0 for tuners without a cost model).
+	Predicted float64
 }
 
 // Tuned is the outcome of one baseline on one workload.

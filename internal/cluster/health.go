@@ -53,21 +53,23 @@ func newHealthChecker(replicas []string, client *http.Client, interval, timeout 
 		stop:     make(chan struct{}),
 	}
 	for _, r := range replicas {
-		// Optimistic start: a replica is assumed ready until a probe or a
-		// proxy attempt says otherwise, so a cold router forwards
-		// immediately instead of 503ing until the first probe round.
-		hc.state[r] = &replicaState{healthy: true}
+		// run's first, synchronous probe round fills every state before
+		// the router serves.
+		hc.state[r] = &replicaState{}
 	}
 	return hc
 }
 
-// run probes every replica once immediately, then on the interval, until
-// stopped. ctx bounds each probe round's outstanding requests.
+// run probes every replica once before returning, then on the interval from
+// a goroutine, until stopped. The first round is synchronous so its verdicts
+// are in place before any request is routed: run from the goroutine, it
+// could land after a later transition and overwrite it with a stale view.
+// ctx bounds each probe round's outstanding requests.
 func (hc *healthChecker) run(ctx context.Context) {
+	hc.probeAll(ctx)
 	hc.wg.Add(1)
 	go func() {
 		defer hc.wg.Done()
-		hc.probeAll(ctx)
 		t := time.NewTicker(hc.interval)
 		defer t.Stop()
 		for {

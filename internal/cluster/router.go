@@ -134,8 +134,8 @@ type Router struct {
 	startTime time.Time
 }
 
-// NewRouter builds a router over the replica set and starts its readiness
-// prober. Close releases the prober.
+// NewRouter builds a router over the replica set, probes every replica once,
+// and starts its readiness prober. Close releases the prober.
 func NewRouter(opts Options) (*Router, error) {
 	if len(opts.Replicas) == 0 {
 		return nil, errors.New("cluster: router needs at least one replica")

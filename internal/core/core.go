@@ -289,7 +289,7 @@ func (t *Tuner) TuneContext(ctx context.Context, wl *kernel.Workload, profile ke
 	}
 	tuning := res.FeatureTime + res.SearchTime
 
-	var best *schedule.SuperSchedule
+	var best kernel.Executable
 	var bestTime time.Duration
 	var bestConvert time.Duration
 	measured := 0
@@ -320,9 +320,9 @@ func (t *Tuner) TuneContext(ctx context.Context, wl *kernel.Workload, profile ke
 		measured++
 		// Every probed candidate is a (pattern, schedule, runtime) triple;
 		// probe timings share a repeat count, so they rank against each other.
-		probes = append(probes, baselines.Measurement{Schedule: cand.SS, Seconds: d.Seconds()})
+		probes = append(probes, baselines.Measurement{Schedule: cand.SS, Seconds: d.Seconds(), Predicted: cand.Cost})
 		if best == nil || d < bestTime {
-			best, bestTime, bestConvert = cand.SS, d, convert
+			best, bestTime, bestConvert = plan, d, convert
 		}
 	}
 	if best == nil {
@@ -331,11 +331,9 @@ func (t *Tuner) TuneContext(ctx context.Context, wl *kernel.Workload, profile ke
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	plan, err := wl.Compile(best, profile, cfg.MaxEntries)
-	if err != nil {
-		return nil, err
-	}
-	med, err := wl.Measure(plan, cfg.Repeats)
+	// The winner's probe plan is reused: re-assembling it would only repeat
+	// work the probe loop already did.
+	med, err := wl.Measure(best, cfg.Repeats)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +342,7 @@ func (t *Tuner) TuneContext(ctx context.Context, wl *kernel.Workload, profile ke
 		KernelSeconds:  med.Seconds(),
 		TuningSeconds:  tuning.Seconds(),
 		ConvertSeconds: bestConvert.Seconds(),
-		Schedule:       best,
+		Schedule:       best.Super(),
 		Info:           fmt.Sprintf("measured %d of top-%d", measured, k),
 		Measured:       probes,
 	}, nil

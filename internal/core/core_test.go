@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -104,6 +105,53 @@ func TestTuneRejectsWrongAlgorithm(t *testing.T) {
 	}
 	if _, err := tuner.Tune(wl, kernel.DefaultProfile(), baselines.Config{Repeats: 1}); err == nil {
 		t.Fatal("accepted SpMV workload on SpMM tuner")
+	}
+}
+
+// TestTuneCarriesSearchPredictions: every probed candidate reports the
+// predicted cost the search ranked it by, and the winner is probed exactly
+// once (its probe plan serves the final measurement).
+func TestTuneCarriesSearchPredictions(t *testing.T) {
+	cfg := quickConfig(schedule.SpMM)
+	cfg.TopK = 4 // SearchEf 24 = 6·TopK, so TuneContext does not raise ef
+	tuner, _, err := Build(testCorpus(5), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	coo := generate.Uniform(rng, 128, 128, 1500)
+	tuned, err := tuner.TuneTensor(coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same (k, ef) as TuneContext derives from this config: the search is
+	// deterministic, so it returns the same candidates and costs.
+	res, err := tuner.Index.Search(context.Background(), costmodel.NewPattern(coo), cfg.TopK, cfg.SearchEf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := make(map[*schedule.SuperSchedule]float64, len(res.Candidates))
+	for _, c := range res.Candidates {
+		costs[c.SS] = c.Cost
+	}
+	if len(tuned.Measured) == 0 {
+		t.Fatal("tune exposed no probe measurements")
+	}
+	winners := 0
+	for i, m := range tuned.Measured {
+		want, ok := costs[m.Schedule]
+		if !ok {
+			t.Fatalf("measurement %d (%s) is not a search candidate", i, m.Schedule)
+		}
+		if m.Predicted != want {
+			t.Fatalf("measurement %d predicted %v, search ranked it at %v", i, m.Predicted, want)
+		}
+		if m.Schedule == tuned.Schedule {
+			winners++
+		}
+	}
+	if winners != 1 {
+		t.Fatalf("winner appears %d times in Measured, want 1", winners)
 	}
 }
 

@@ -70,19 +70,13 @@ func (c *Cache) shard(key string) *cacheShard {
 
 // Get returns the cached value for key, marking it most recently used.
 func (c *Cache) Get(key string) (any, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	el, ok := s.m[key]
-	if ok {
-		s.ll.MoveToFront(el)
-	}
-	s.mu.Unlock()
+	val, ok := c.lookup(key, true)
 	if !ok {
 		c.misses.Add(1)
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).val, true
+	return val, true
 }
 
 // Peek returns the cached value for key without touching the hit/miss
@@ -90,12 +84,21 @@ func (c *Cache) Get(key string) (any, bool) {
 // counted their outcome once (the server's pre-flight Get): counting the
 // same request's miss twice would skew every hit-rate derived downstream.
 func (c *Cache) Peek(key string) (any, bool) {
+	return c.lookup(key, false)
+}
+
+// lookup reads key's value under the shard lock (Put refreshes values in
+// place), optionally marking it most recently used.
+func (c *Cache) lookup(key string, touch bool) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.m[key]
-	s.mu.Unlock()
 	if !ok {
 		return nil, false
+	}
+	if touch {
+		s.ll.MoveToFront(el)
 	}
 	return el.Value.(*cacheEntry).val, true
 }

@@ -133,8 +133,10 @@ func (o Options) withDefaults() Options {
 // are per-request delivery metadata; the rest is what the underlying search
 // produced (and what the cache stores).
 type TuneResult struct {
-	Fingerprint    string  `json:"fingerprint"`
-	Schedule       string  `json:"schedule"`
+	Fingerprint string `json:"fingerprint"`
+	Schedule    string `json:"schedule"`
+	// PredictedCost is the score the search ranked the winner by: the float
+	// head's, or the int8 head's when the tuner serves quantized.
 	PredictedCost  float64 `json:"predicted_cost"`
 	KernelSeconds  float64 `json:"kernel_seconds"`
 	TuningSeconds  float64 `json:"tuning_seconds"`
@@ -482,14 +484,10 @@ func (s *Server) tune(ctx context.Context, coo *tensor.COO, fp string) (*TuneRes
 		if err != nil {
 			return nil, err
 		}
-		cost, err := tun.Model.Cost(costmodel.NewPattern(coo), tuned.Schedule)
-		if err != nil {
-			return nil, err
-		}
 		res := &TuneResult{
 			Fingerprint:    fp,
 			Schedule:       tuned.Schedule.String(),
-			PredictedCost:  cost,
+			PredictedCost:  winnerPredicted(tuned),
 			KernelSeconds:  tuned.KernelSeconds,
 			TuningSeconds:  tuned.TuningSeconds,
 			ConvertSeconds: tuned.ConvertSeconds,
@@ -508,6 +506,18 @@ func (s *Server) tune(ctx context.Context, coo *tensor.COO, fp string) (*TuneRes
 	out := *v.(*TuneResult)
 	out.Deduped = shared
 	return &out, nil
+}
+
+// winnerPredicted returns the search's predicted cost for the winning
+// schedule, carried on its probe measurement, so reporting it costs no second
+// feature extraction. The WACO tuner always probes its winner.
+func winnerPredicted(tuned *baselines.Tuned) float64 {
+	for _, m := range tuned.Measured {
+		if m.Schedule == tuned.Schedule {
+			return m.Predicted
+		}
+	}
+	return 0
 }
 
 // observe appends a completed tune's measurements to the log — one record

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -114,6 +115,39 @@ func TestTuneCachesByFingerprint(t *testing.T) {
 	}
 	if st.TuneRequests != 2 {
 		t.Fatalf("tune requests = %d, want 2", st.TuneRequests)
+	}
+}
+
+// TestColdTunePredictedCostMatchesModel: on the float path, the predicted
+// cost a cold tune reports (the search's own score for the winner) equals a
+// fresh cost-model evaluation of the winning schedule.
+func TestColdTunePredictedCostMatchesModel(t *testing.T) {
+	s := newTestServer(t, Options{})
+	tun := quickTuner(t)
+	coo := testMatrix(7)
+	res, err := s.Tune(context.Background(), coo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cached {
+		t.Fatal("first request was served from the cache")
+	}
+	var winner *schedule.SuperSchedule
+	for _, ss := range tun.Index.Schedules {
+		if ss.String() == res.Schedule {
+			winner = ss
+			break
+		}
+	}
+	if winner == nil {
+		t.Fatalf("winner %s is not an indexed schedule", res.Schedule)
+	}
+	want, err := tun.Model.Cost(costmodel.NewPattern(coo), winner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.PredictedCost-want) > 1e-9*math.Abs(want) {
+		t.Fatalf("predicted_cost %v, model evaluates the winner at %v", res.PredictedCost, want)
 	}
 }
 
