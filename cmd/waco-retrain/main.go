@@ -1,7 +1,7 @@
 // Command waco-retrain closes the online learning loop: it replays a
 // serving-written measurement log (waco-serve -obslog) into training triples,
 // fine-tunes the incumbent sealed artifact's cost model, and — only when the
-// candidate passes the rank-quality promotion gates on a held-out log slice —
+// candidate passes the rank-quality promotion gate on a held-out log slice —
 // rotates it into a versioned model directory and optionally POSTs
 // /admin/reload so serving replicas pick it up without dropping a request.
 //
@@ -39,10 +39,9 @@ func main() {
 	log.SetPrefix("waco-retrain: ")
 	logPath := flag.String("log", "obs.log", "measurement log written by waco-serve -obslog")
 	artifact := flag.String("artifact", "waco.tuner", "incumbent sealed artifact (fine-tune source and gate baseline)")
-	modelDir := flag.String("modeldir", "", "versioned artifact directory to promote into (empty = dry run: gates evaluate, nothing rotates)")
+	modelDir := flag.String("modeldir", "", "versioned artifact directory to promote into (empty = dry run: the gate evaluates, nothing rotates)")
 	transfer := flag.Bool("transfer", false, "freeze extractor+embedder, adapt only the predictor head (few-shot transfer)")
 	budget := flag.Int("budget", 0, "use only the most recent N log records (0 = all)")
-	quantize := flag.Bool("quantize", false, "recalibrate an int8 head for the candidate and gate on quantized rank fidelity")
 	minRecords := flag.Int("min-records", 16, "fewest intact log records required to attempt a retrain")
 	holdout := flag.Float64("holdout", 0.34, "fraction of replayed entries held out for the promotion gate")
 	gateSlack := flag.Float64("gate-slack", 0.02, "how far below the incumbent's holdout Spearman the candidate may score and still promote")
@@ -61,7 +60,6 @@ func main() {
 		ModelDir:     *modelDir,
 		Transfer:     *transfer,
 		Budget:       *budget,
-		Quantize:     *quantize,
 		MinRecords:   *minRecords,
 		HoldoutFrac:  *holdout,
 		GateSlack:    *gateSlack,

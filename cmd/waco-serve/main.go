@@ -69,7 +69,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 256, "bound on resident async tune jobs (running + retained results)")
 	jobTTL := flag.Duration("job-ttl", 10*time.Minute, "retention of finished async job results for polling")
 	quiet := flag.Bool("quiet", false, "disable per-request structured access logging")
-	quantized := flag.Bool("quantized", false, "serve predictor-head evaluations on the int8 quantized path (requires an artifact sealed with -quantize)")
 	prefilterMargin := flag.Float64("prefilter-margin", 0, "asymptotic-cost pre-filter prune margin in log2 units (0 = disabled)")
 	obslogPath := flag.String("obslog", "", "append-only measurement log file recording every completed tune for waco-retrain (empty = disabled)")
 	obslogHost := flag.String("obslog-host", "", "host tag stamped on measurement records (default: os.Hostname)")
@@ -106,7 +105,6 @@ func main() {
 		JobTTL:          *jobTTL,
 		ArtifactPath:    *artifactPath,
 		Logger:          logger,
-		Quantized:       *quantized,
 		PrefilterMargin: *prefilterMargin,
 		ObsLog:          obsLog,
 	})

@@ -24,7 +24,6 @@ import (
 	"waco/internal/dataset"
 	"waco/internal/experiments"
 	"waco/internal/kernel"
-	"waco/internal/tensor"
 )
 
 func main() {
@@ -33,7 +32,6 @@ func main() {
 	dataPath := flag.String("data", "waco.dataset", "input dataset file from waco-datagen")
 	out := flag.String("out", "waco.model", "output model file")
 	artifact := flag.String("artifact", "", "also seal a tuner artifact (model + schedule index) to this file")
-	quantize := flag.Bool("quantize", false, "calibrate an int8 predictor head on the dataset matrices and seal it into the artifact (requires -artifact)")
 	scaleName := flag.String("scale", "quick", "scale preset sizing the network: quick|default|paper")
 	extractor := flag.String("extractor", "", "override feature extractor: waconet|minkowski|denseconv|human")
 	epochs := flag.Int("epochs", 0, "override training epochs")
@@ -42,9 +40,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "override RNG seed")
 	workers := flag.Int("workers", 0, "worker goroutines for training and indexing (0 = one per CPU; results are identical for any value)")
 	flag.Parse()
-	if *quantize && *artifact == "" {
-		log.Fatal("-quantize requires -artifact (the int8 head is sealed into the artifact)")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -123,16 +118,6 @@ func main() {
 		// Record the full offline cost (training + indexing) so cached
 		// startups can report their speedup against it.
 		tuner.BuildSeconds = time.Since(buildStart).Seconds()
-		if *quantize {
-			samples := make([]*tensor.COO, 0, len(ds.Entries))
-			for _, e := range ds.Entries {
-				samples = append(samples, e.COO)
-			}
-			if err := tuner.Quantize(samples); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("calibrated int8 predictor head on %d matrices", len(samples))
-		}
 		af, err := os.Create(*artifact)
 		if err != nil {
 			log.Fatal(err)

@@ -23,29 +23,20 @@ import (
 // the indexed SuperSchedules in graph-id order. waco-train writes one with
 // -artifact; waco-tune and waco-serve load it for O(read) startup.
 const (
-	artifactMagic = "WACOTUNR"
-	// artifactVersion 1 is the original envelope; version 2 adds the optional
-	// quantized-head section (QuantBytes). SaveTuner writes version 1 when
-	// the tuner carries no quantized head, so artifacts without one stay
-	// readable by version-1 builds; LoadTuner accepts both.
-	artifactVersion      = uint32(1)
-	artifactVersionQuant = uint32(2)
+	artifactMagic   = "WACOTUNR"
+	artifactVersion = uint32(1)
 )
 
 // artifactDisk is the gob payload following the magic + version header. The
-// model, graph, and quantized head keep their own self-describing encodings
-// (costmodel snapshot, hnsw versioned format, quantized-head section) so
-// their layouts can evolve independently of the envelope.
+// model and graph keep their own self-describing encodings (costmodel
+// snapshot, hnsw versioned format) so their layouts can evolve independently
+// of the envelope.
 type artifactDisk struct {
 	Cfg          Config
 	ModelBytes   []byte
 	GraphBytes   []byte
 	Schedules    []*schedule.SuperSchedule
 	BuildSeconds float64
-	// QuantBytes is the sealed int8 head (costmodel.QuantizedHead.Save):
-	// scales + int8 weights, so quantized serving needs no startup
-	// calibration pass. Empty in version-1 artifacts.
-	QuantBytes []byte
 }
 
 // SaveTuner seals the tuner into w. Cfg.Train.Verbose (a func) is dropped by
@@ -66,21 +57,10 @@ func SaveTuner(w io.Writer, t *Tuner) error {
 	if err := t.Index.Graph.Save(&graph); err != nil {
 		return err
 	}
-	version := artifactVersion
-	var quant bytes.Buffer
-	if t.Quantized != nil {
-		if err := t.Quantized.CompatibleWith(t.Model); err != nil {
-			return err
-		}
-		if err := t.Quantized.Save(&quant); err != nil {
-			return err
-		}
-		version = artifactVersionQuant
-	}
 	if _, err := io.WriteString(w, artifactMagic); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, version); err != nil {
+	if err := binary.Write(w, binary.LittleEndian, artifactVersion); err != nil {
 		return err
 	}
 	return gob.NewEncoder(w).Encode(artifactDisk{
@@ -89,7 +69,6 @@ func SaveTuner(w io.Writer, t *Tuner) error {
 		GraphBytes:   graph.Bytes(),
 		Schedules:    t.Index.Schedules,
 		BuildSeconds: t.BuildSeconds,
-		QuantBytes:   quant.Bytes(),
 	})
 }
 
@@ -113,9 +92,9 @@ func LoadTuner(r io.Reader) (*Tuner, error) {
 	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
 		return nil, fmt.Errorf("core: reading artifact version: %w", err)
 	}
-	if version != artifactVersion && version != artifactVersionQuant {
-		return nil, fmt.Errorf("core: artifact version %d, this build reads %d-%d",
-			version, artifactVersion, artifactVersionQuant)
+	if version != artifactVersion {
+		return nil, fmt.Errorf("core: artifact version %d, this build reads only %d (re-seal it with waco-train -artifact)",
+			version, artifactVersion)
 	}
 	var d artifactDisk
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
@@ -141,20 +120,10 @@ func LoadTuner(r io.Reader) (*Tuner, error) {
 			return nil, fmt.Errorf("core: artifact schedule %d: %w", i, err)
 		}
 	}
-	var quant *costmodel.QuantizedHead
-	if len(d.QuantBytes) > 0 {
-		if quant, err = costmodel.LoadQuantizedHead(bytes.NewReader(d.QuantBytes)); err != nil {
-			return nil, err
-		}
-		if err := quant.CompatibleWith(model); err != nil {
-			return nil, err
-		}
-	}
 	return &Tuner{
 		Cfg:           d.Cfg,
 		Model:         model,
 		Index:         &search.Index{Model: model, Schedules: d.Schedules, Graph: graph},
-		Quantized:     quant,
 		BuildSeconds:  d.BuildSeconds,
 		ArtifactStamp: hex.EncodeToString(digest.Sum(nil)),
 	}, nil

@@ -5,13 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"waco/internal/costmodel"
 	"waco/internal/generate"
 	"waco/internal/schedule"
-	"waco/internal/tensor"
 )
 
 func TestArtifactRoundTrip(t *testing.T) {
@@ -77,104 +77,18 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestArtifactQuantizedRoundTrip: a tuner carrying a calibrated int8 head
-// seals as a version-2 artifact, reloads with the head intact, and the
-// reloaded head serves bit-identical quantized predictions. A tuner without
-// one keeps writing the version-1 envelope old builds read.
-func TestArtifactQuantizedRoundTrip(t *testing.T) {
-	cfg := quickConfig(schedule.SpMM)
-	tuner, ds, err := Build(testCorpus(5), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// No quantized head: the envelope stays at version 1 for old readers.
-	var plain bytes.Buffer
-	if err := SaveTuner(&plain, tuner); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(plain.Bytes()[8:12]); v != 1 {
-		t.Fatalf("artifact without quantized head sealed as version %d, want 1", v)
-	}
-
-	samples := make([]*tensor.COO, 0, len(ds.Entries))
-	for _, e := range ds.Entries {
-		samples = append(samples, e.COO)
-	}
-	if err := tuner.Quantize(samples); err != nil {
-		t.Fatal(err)
-	}
-	if tuner.Quantized == nil {
-		t.Fatal("Quantize left no head on the tuner")
-	}
-
-	var buf bytes.Buffer
-	if err := SaveTuner(&buf, tuner); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); v != 2 {
-		t.Fatalf("artifact with quantized head sealed as version %d, want 2", v)
-	}
-	loaded, err := LoadTuner(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Quantized == nil {
-		t.Fatal("reloaded artifact lost its quantized head")
-	}
-
-	// Same weights, same scales, same int8 arithmetic: searches on the
-	// quantized path must agree bit for bit across the round trip.
-	if err := tuner.Index.EnableQuantized(tuner.Quantized); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.Index.EnableQuantized(loaded.Quantized); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(47))
-	coo := generate.Uniform(rng, 96, 96, 1200)
-	r1, err := tuner.Index.Search(context.Background(), costmodel.NewPattern(coo), 4, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := loaded.Index.Search(context.Background(), costmodel.NewPattern(coo), 4, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Candidates) != len(r2.Candidates) {
-		t.Fatalf("candidate counts differ: %d vs %d", len(r1.Candidates), len(r2.Candidates))
-	}
-	for i := range r1.Candidates {
-		if r1.Candidates[i].SS.String() != r2.Candidates[i].SS.String() ||
-			r1.Candidates[i].Cost != r2.Candidates[i].Cost {
-			t.Fatalf("quantized candidate %d differs across round trip:\n  %s %v\n  %s %v", i,
-				r1.Candidates[i].SS, r1.Candidates[i].Cost, r2.Candidates[i].SS, r2.Candidates[i].Cost)
-		}
-	}
-}
-
-// TestQuantizeRejectsEmptyCalibration: sealing a head calibrated on nothing
-// must fail rather than produce garbage scales.
-func TestQuantizeRejectsEmptyCalibration(t *testing.T) {
-	cfg := quickConfig(schedule.SpMM)
-	tuner, _, err := Build(testCorpus(4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tuner.Quantize(nil); err == nil {
-		t.Fatal("Quantize accepted an empty calibration set")
-	}
-	if tuner.Quantized != nil {
-		t.Fatal("failed Quantize left a head behind")
-	}
-}
-
 func TestLoadTunerRejectsBadInput(t *testing.T) {
 	if _, err := LoadTuner(bytes.NewReader(nil)); err == nil {
 		t.Fatal("accepted empty input")
 	}
 	if _, err := LoadTuner(bytes.NewReader([]byte("JUNKJUNKJUNKJUNK"))); err == nil {
 		t.Fatal("accepted bad magic")
+	}
+	// Any envelope version but the current one is refused with a pointer to
+	// re-sealing, before its payload is decoded.
+	v2 := binary.LittleEndian.AppendUint32([]byte(artifactMagic), 2)
+	if _, err := LoadTuner(bytes.NewReader(v2)); err == nil || !strings.Contains(err.Error(), "re-seal") {
+		t.Fatalf("version-2 header: got %v, want a re-seal error", err)
 	}
 }
 

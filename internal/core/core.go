@@ -100,11 +100,6 @@ type Tuner struct {
 	Model      *costmodel.Model
 	Index      *search.Index
 	TrainTrace costmodel.TrainResult
-	// Quantized is the calibrated int8 predictor head, if one has been built
-	// (Quantize) or loaded from a version-2 sealed artifact. Carrying it here
-	// does NOT switch the index to the int8 path — the serving layer opts in
-	// via Index.EnableQuantized, keeping the float path the default oracle.
-	Quantized *costmodel.QuantizedHead
 	// BuildSeconds is the wall-clock cost of constructing this tuner
 	// (training and/or index building). It is persisted in sealed artifacts
 	// so the cached startup path can report its speedup.
@@ -201,48 +196,6 @@ func buildIndex(ctx context.Context, model *costmodel.Model, ds *dataset.Dataset
 	}
 	return search.BuildIndexContext(ctx, model, scheds, cfg.HNSW,
 		search.BuildOptions{Workers: cfg.Workers, Metrics: cfg.PoolMetrics})
-}
-
-// quantCalibEmbs bounds the stored embeddings sampled for activation
-// calibration; the cross product with the calibration features runs through
-// the float head once per pair.
-const quantCalibEmbs = 256
-
-// Quantize calibrates an int8 predictor head and attaches it to the tuner:
-// the sample tensors provide calibration features (one forward extraction
-// each) and an evenly strided sample of the index's stored embeddings
-// provides the activation statistics. The head is stored on the tuner (and
-// sealed into version-2 artifacts by SaveTuner); serving opts in via
-// Index.EnableQuantized.
-func (t *Tuner) Quantize(samples []*tensor.COO) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("core: quantization needs at least one calibration tensor")
-	}
-	b := costmodel.NewInferBuffers()
-	feats := make([][]float32, 0, len(samples))
-	for _, c := range samples {
-		b.Reset()
-		f, err := t.Model.ExtractInfer(b, costmodel.NewPattern(c))
-		if err != nil {
-			return err
-		}
-		feats = append(feats, append([]float32(nil), f...))
-	}
-	n := t.Index.Graph.Len()
-	stride := n / quantCalibEmbs
-	if stride < 1 {
-		stride = 1
-	}
-	embs := make([][]float32, 0, quantCalibEmbs+1)
-	for id := 0; id < n; id += stride {
-		embs = append(embs, t.Index.Graph.Vector(id))
-	}
-	q, err := costmodel.QuantizeHead(t.Model, feats, embs)
-	if err != nil {
-		return err
-	}
-	t.Quantized = q
-	return nil
 }
 
 // Name implements baselines.Method.

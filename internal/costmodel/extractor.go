@@ -30,8 +30,8 @@ type Pattern struct {
 	// Extracted-feature memo (Model.ExtractInfer): the learned feature vector
 	// is as much a deterministic view of the pattern as the sparse map or the
 	// human statistics, and repeated queries of one pattern — top-k retrieval
-	// plus candidate re-scoring, quantized and float passes over the same
-	// matrix — would otherwise re-run the extractor network each time. Keyed
+	// plus candidate re-scoring of the same matrix — would otherwise re-run
+	// the extractor network each time. Keyed
 	// by extractor identity so a pattern scored against two models never
 	// serves one model the other's features.
 	featKey FeatureExtractor

@@ -34,8 +34,7 @@ type InferBuffers struct {
 	featGen uint64    // arena generation the prepared feature lives in
 	pre     []float32 // pre[o] = B[o] + W[o, :featLen] . feat
 
-	hid  [2][]float32 // ping-pong hidden activations of the head
-	qhid []int8       // quantized hidden activations of the int8 head
+	hid [2][]float32 // ping-pong hidden activations of the head
 }
 
 // NewInferBuffers returns empty buffers; they size themselves on first use.

@@ -254,3 +254,10 @@ func TestInferSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state forward-only query path allocates %.1f times per cycle, want 0", allocs)
 	}
 }
+
+func headIn(m *Model) int {
+	if len(m.Head.Layers) == 0 {
+		return 0
+	}
+	return m.Head.Layers[0].In
+}

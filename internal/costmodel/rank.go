@@ -34,8 +34,8 @@ func Ranks(v []float64) []float64 {
 // Spearman computes the Spearman rank correlation between two score vectors.
 // It returns 0 when either vector is constant (order is undefined). WACO's
 // ranking loss means only candidate ORDER matters, so this is the repo's
-// universal quality metric: the quantized-head fidelity gate, the retrain
-// promotion gate, and the transfer-budget experiment all report it.
+// universal quality metric: the retrain promotion gate and the
+// transfer-budget experiment both report it.
 func Spearman(a, b []float64) float64 {
 	if len(a) != len(b) || len(a) < 2 {
 		return 0
@@ -98,51 +98,6 @@ func RankQuality(m *Model, entries []*dataset.Entry) (float64, error) {
 	}
 	if weight == 0 {
 		return 0, fmt.Errorf("costmodel: no rankable entries (need >= 3 samples per entry)")
-	}
-	return weighted / float64(weight), nil
-}
-
-// QuantRankFidelity correlates the float and int8 heads over the entries'
-// measured schedules, sample-weighted like RankQuality. A candidate sealed
-// with -quantize must keep this at or above the established 0.98 gate: a
-// fine-tune that moves the weights outside the calibrated quantization range
-// would silently degrade every quantized serving query.
-func QuantRankFidelity(m *Model, q *QuantizedHead, entries []*dataset.Entry) (float64, error) {
-	if err := q.CompatibleWith(m); err != nil {
-		return 0, err
-	}
-	b := NewInferBuffers()
-	var weighted float64
-	var weight int
-	for _, e := range entries {
-		if len(e.Samples) < 3 {
-			continue
-		}
-		b.Reset()
-		feat, err := m.ExtractInfer(b, NewPattern(e.COO))
-		if err != nil {
-			continue
-		}
-		feat = append([]float32(nil), feat...)
-		embs := make([][]float32, len(e.Samples))
-		qembs := make([][]int8, len(e.Samples))
-		for i := range e.Samples {
-			b.Reset()
-			embs[i] = append([]float32(nil), m.EmbedScheduleInfer(b, e.Samples[i].SS)...)
-			qembs[i] = make([]int8, len(embs[i]))
-			q.QuantizeEmbedding(qembs[i], embs[i])
-		}
-		flt := make([]float64, len(embs))
-		qnt := make([]float64, len(embs))
-		b.Reset()
-		m.PredictHeadInto(b, feat, embs, flt)
-		m.PredictHeadIntoQuantized(b, q, feat, qembs, qnt)
-		rho := Spearman(flt, qnt)
-		weighted += rho * float64(len(e.Samples))
-		weight += len(e.Samples)
-	}
-	if weight == 0 {
-		return 0, fmt.Errorf("costmodel: no rankable entries for quantized fidelity")
 	}
 	return weighted / float64(weight), nil
 }

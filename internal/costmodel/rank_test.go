@@ -58,38 +58,6 @@ func TestRankQualityMeasuresOrdering(t *testing.T) {
 	}
 }
 
-func TestQuantRankFidelityOnEntries(t *testing.T) {
-	entries := syntheticEntries(t, 2)
-	m := tinyModel(t, schedule.SpMM, KindHumanFeature)
-	// Calibrate against the entries' own features and schedule embeddings —
-	// the same data the fidelity score runs over.
-	b := NewInferBuffers()
-	var feats, embs [][]float32
-	for _, e := range entries {
-		b.Reset()
-		feat, err := m.ExtractInfer(b, NewPattern(e.COO))
-		if err != nil {
-			t.Fatal(err)
-		}
-		feats = append(feats, append([]float32(nil), feat...))
-		for i := range e.Samples {
-			b.Reset()
-			embs = append(embs, append([]float32(nil), m.EmbedScheduleInfer(b, e.Samples[i].SS)...))
-		}
-	}
-	q, err := QuantizeHead(m, feats, embs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rho, err := QuantRankFidelity(m, q, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rho < 0.98 {
-		t.Fatalf("quantized fidelity on calibration data = %v, want >= 0.98", rho)
-	}
-}
-
 // TestHeadOnlyFreezesBackbone pins the COGNATE transfer contract: HeadOnly
 // training must leave every extractor and embedder weight bit-identical
 // (so precomputed index embeddings stay valid) while still moving the head.

@@ -2,7 +2,7 @@
 // serving-observed measurement log (internal/obslog) into dataset entries,
 // fine-tunes the sealed cost model on them with the deterministic worker-pool
 // trainer, and promotes the candidate into a versioned artifact directory —
-// but only when it passes the rank-quality gates against the incumbent on a
+// but only when it passes the rank-quality gate against the incumbent on a
 // held-out log slice. cmd/waco-retrain is the CLI wrapper; the CI retrain-e2e
 // job drives the whole loop in-process.
 //
@@ -22,10 +22,8 @@ import (
 
 	"waco/internal/core"
 	"waco/internal/costmodel"
-	"waco/internal/dataset"
 	"waco/internal/obslog"
 	"waco/internal/search"
-	"waco/internal/tensor"
 )
 
 // Config controls one retrain run.
@@ -44,9 +42,6 @@ type Config struct {
 	// Budget, when > 0, uses only the most recent Budget log records — the
 	// few-shot measurement budget of the transfer experiments.
 	Budget int
-	// Quantize recalibrates an int8 head for the candidate and gates its
-	// promotion on quantized/float rank fidelity >= QuantGate.
-	Quantize bool
 	// MinRecords is the fewest intact log records required to attempt a
 	// retrain. Default 16.
 	MinRecords int
@@ -58,9 +53,6 @@ type Config struct {
 	// runtimes are noisy, and both models are scored on the same slice, so a
 	// small slack rejects regressions without flapping on noise. Default 0.02.
 	GateSlack float64
-	// QuantGate is the quantized/float rank-fidelity floor. Default 0.98,
-	// matching the established serving gate.
-	QuantGate float64
 	// Epochs, LR, Seed, Workers parameterize the fine-tune. Epochs default 4,
 	// LR 1e-3, Seed 1.
 	Epochs  int
@@ -83,9 +75,6 @@ func (c Config) withDefaults() Config {
 	} else if c.GateSlack == 0 {
 		c.GateSlack = 0.02
 	}
-	if c.QuantGate <= 0 {
-		c.QuantGate = 0.98
-	}
 	if c.Epochs <= 0 {
 		c.Epochs = 4
 	}
@@ -98,8 +87,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result reports one retrain run: the data volume, both gate scores, and the
-// promotion outcome. Promoted=false with an empty Err means the gate rejected
+// Result reports one retrain run: the data volume, the gate's two scores, and
+// the promotion outcome. Promoted=false with an empty Err means the gate rejected
 // the candidate — an expected outcome, not a failure.
 type Result struct {
 	Records        int     `json:"records"`
@@ -110,7 +99,6 @@ type Result struct {
 	Transfer       bool    `json:"transfer"`
 	IncumbentRank  float64 `json:"incumbent_rank"`
 	CandidateRank  float64 `json:"candidate_rank"`
-	QuantFidelity  float64 `json:"quant_fidelity,omitempty"`
 	Promoted       bool    `json:"promoted"`
 	Reason         string  `json:"reason"`
 	Version        int     `json:"version,omitempty"`
@@ -201,26 +189,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	if cfg.Quantize {
-		if err := tuner.Quantize(calibrationPatterns(train)); err != nil {
-			return nil, fmt.Errorf("retrain: quantizing candidate head: %w", err)
-		}
-		res.QuantFidelity, err = costmodel.QuantRankFidelity(cand, tuner.Quantized, holdout)
-		if err != nil {
-			return nil, fmt.Errorf("retrain: quantized fidelity: %w", err)
-		}
-		logf("quantized/float rank fidelity: %.4f (gate %.2f)", res.QuantFidelity, cfg.QuantGate)
-		if res.QuantFidelity < cfg.QuantGate {
-			res.Promoted = false
-			res.Reason = fmt.Sprintf("gate rejected: quantized fidelity %.4f below %.2f", res.QuantFidelity, cfg.QuantGate)
-			return res, nil
-		}
-	}
-
 	res.Promoted = true
-	res.Reason = "gates passed"
+	res.Reason = "gate passed"
 	if cfg.ModelDir == "" {
-		res.Reason = "gates passed (dry run: no -modeldir, nothing promoted)"
+		res.Reason = "gate passed (dry run: no -modeldir, nothing promoted)"
 		return res, nil
 	}
 	man, err := core.OpenManifest(cfg.ModelDir)
@@ -264,13 +236,4 @@ func candidateTuner(ctx context.Context, incumbent *core.Tuner, cand *costmodel.
 	}
 	t.Index = ix
 	return t, nil
-}
-
-// calibrationPatterns collects the replayed patterns for int8 calibration.
-func calibrationPatterns(entries []*dataset.Entry) []*tensor.COO {
-	out := make([]*tensor.COO, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.COO)
-	}
-	return out
 }

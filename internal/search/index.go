@@ -41,13 +41,6 @@ type Index struct {
 	// the tree keep working, and gob never sees it.
 	scratch sync.Pool
 
-	// Quantized-head state (EnableQuantized): when quant is non-nil the
-	// traversal scores candidates on the int8 path against qembs, the stored
-	// embeddings quantized once under the head's embedding scale. The float
-	// path stays the default and the oracle.
-	quant *costmodel.QuantizedHead
-	qembs [][]int8
-
 	// Pre-filter state (EnablePrefilter): per-candidate asymptotic-cost
 	// digests, folded against the query pattern's stats to prune candidates
 	// whose bound is dominated by the best bound seen by more than margin
@@ -55,39 +48,6 @@ type Index struct {
 	prefilterMargin float64
 	terms           []asymcost.Terms
 }
-
-// EnableQuantized switches the index's head evaluations to the int8 path:
-// the quantized head is checked against the model, and every stored
-// embedding is quantized once under its embedding scale so queries pay no
-// per-candidate quantization. Passing nil restores the float path. Must be
-// called before the index serves queries (it is not synchronized with
-// Search).
-func (ix *Index) EnableQuantized(q *costmodel.QuantizedHead) error {
-	if q == nil {
-		ix.quant, ix.qembs = nil, nil
-		return nil
-	}
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	if err := q.CompatibleWith(ix.Model); err != nil {
-		return err
-	}
-	n := ix.Graph.Len()
-	backing := make([]int8, n*q.EmbDim)
-	qe := make([][]int8, n)
-	for id := 0; id < n; id++ {
-		dst := backing[id*q.EmbDim : (id+1)*q.EmbDim : (id+1)*q.EmbDim]
-		q.QuantizeEmbedding(dst, ix.Graph.Vector(id))
-		qe[id] = dst
-	}
-	ix.quant, ix.qembs = q, qe
-	return nil
-}
-
-// Quantized returns the active quantized head, nil when the float path is
-// serving.
-func (ix *Index) Quantized() *costmodel.QuantizedHead { return ix.quant }
 
 // EnablePrefilter turns on the analytic asymptotic-cost pre-filter with the
 // given prune margin (log2 units: a candidate is skipped when its bound
@@ -120,7 +80,6 @@ type queryScratch struct {
 	costs []float64
 	fresh []int32
 	embs  [][]float32
-	qembs [][]int8
 	out   []float64
 
 	// Pre-filter memo, sized only when the pre-filter is enabled: bseen[id]
@@ -326,8 +285,7 @@ func (ix *Index) Search(ctx context.Context, p *costmodel.Pattern, k, ef int) (*
 // With the pre-filter enabled, each unseen candidate's asymptotic bound is
 // folded (and memoized) first; candidates dominated by the best bound seen
 // so far by more than the margin are marked seen with a sentinel cost and
-// never reach the head. With the quantized head enabled, evaluations run on
-// the int8 path against the pre-quantized stored embeddings.
+// never reach the head.
 //
 //waco:allocfree
 func (ix *Index) searchForward(ctx context.Context, qs *queryScratch, feat []float32, ast asymcost.Stats, k, ef int, res *Result) ([]int, bool) {
@@ -388,12 +346,7 @@ func (ix *Index) searchForward(ctx context.Context, qs *queryScratch, feat []flo
 			}
 		}
 		e0 := time.Now()
-		var c float64
-		if ix.quant != nil {
-			c = ix.Model.PredictHeadQuantized(qs.b, ix.quant, feat, ix.qembs[id])
-		} else {
-			c = ix.Model.PredictHead(qs.b, feat, ix.Graph.Vector(id))
-		}
+		c := ix.Model.PredictHead(qs.b, feat, ix.Graph.Vector(id))
 		res.EvalTime += time.Since(e0)
 		record(int32(id), c)
 		return c
@@ -410,15 +363,10 @@ func (ix *Index) searchForward(ctx context.Context, qs *queryScratch, feat []flo
 		}
 		fresh := qs.fresh[:0]
 		embs := qs.embs[:0]
-		qembs := qs.qembs[:0]
 		for _, id := range ids {
 			if !qs.seen[id] {
 				fresh = append(fresh, id)
-				if ix.quant != nil {
-					qembs = append(qembs, ix.qembs[id])
-				} else {
-					embs = append(embs, ix.Graph.Vector(int(id)))
-				}
+				embs = append(embs, ix.Graph.Vector(int(id)))
 			}
 		}
 		if len(fresh) > 0 && !cancelled {
@@ -428,11 +376,7 @@ func (ix *Index) searchForward(ctx context.Context, qs *queryScratch, feat []flo
 				qs.out = growF64(qs.out, len(fresh))
 				fout := qs.out
 				e0 := time.Now()
-				if ix.quant != nil {
-					ix.Model.PredictHeadIntoQuantized(qs.b, ix.quant, feat, qembs, fout)
-				} else {
-					ix.Model.PredictHeadInto(qs.b, feat, embs, fout)
-				}
+				ix.Model.PredictHeadInto(qs.b, feat, embs, fout)
 				res.EvalTime += time.Since(e0)
 				// Record in ids order: the trace of best-so-far costs matches
 				// the sequential dist path exactly.
@@ -441,7 +385,7 @@ func (ix *Index) searchForward(ctx context.Context, qs *queryScratch, feat []flo
 				}
 			}
 		}
-		qs.fresh, qs.embs, qs.qembs = fresh, embs, qembs
+		qs.fresh, qs.embs = fresh, embs
 		for i, id := range ids {
 			if qs.seen[id] {
 				out[i] = qs.costs[id]
@@ -467,12 +411,7 @@ func (ix *Index) candidateCost(qs *queryScratch, feat []float32, id int, res *Re
 		return qs.costs[id]
 	}
 	e0 := time.Now()
-	var c float64
-	if ix.quant != nil {
-		c = ix.Model.PredictHeadQuantized(qs.b, ix.quant, feat, ix.qembs[id])
-	} else {
-		c = ix.Model.PredictHead(qs.b, feat, ix.Graph.Vector(id))
-	}
+	c := ix.Model.PredictHead(qs.b, feat, ix.Graph.Vector(id))
 	res.EvalTime += time.Since(e0)
 	res.Evals++
 	qs.seen[id] = true

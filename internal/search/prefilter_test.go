@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -115,158 +114,5 @@ func TestPrefilterPrunesDominatedCandidates(t *testing.T) {
 	}
 	if off.Pruned != 0 || off.PrefilterTime != 0 {
 		t.Fatalf("disabled pre-filter still reported Pruned=%d PrefilterTime=%v", off.Pruned, off.PrefilterTime)
-	}
-}
-
-// calibratedHead quantizes the index's model head using the query feature and
-// the index's own stored embeddings as the calibration set.
-func calibratedHead(t testing.TB, ix *Index, p *costmodel.Pattern) *costmodel.QuantizedHead {
-	t.Helper()
-	b := costmodel.NewInferBuffers()
-	b.Reset()
-	feat, err := ix.Model.ExtractInfer(b, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feats := [][]float32{append([]float32(nil), feat...)}
-	embs := make([][]float32, ix.Graph.Len())
-	for id := range embs {
-		embs[id] = ix.Graph.Vector(id)
-	}
-	q, err := costmodel.QuantizeHead(ix.Model, feats, embs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return q
-}
-
-// TestQuantizedSearchPreservesRanking: searching on the int8 path succeeds,
-// and the quantized scores of ALL indexed schedules rank-correlate with the
-// float oracle at Spearman >= 0.98 — the serving gate for quantized indexes.
-func TestQuantizedSearchPreservesRanking(t *testing.T) {
-	m := testModel(t)
-	ix, err := BuildIndex(m, sampleSchedules(200, 31), hnsw.Config{M: 10, EfConstruction: 60, Seed: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testPattern(33)
-	q := calibratedHead(t, ix, p)
-	if err := ix.EnableQuantized(q); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Quantized() != q {
-		t.Fatal("Quantized() does not report the enabled head")
-	}
-
-	res, err := ix.Search(context.Background(), p, 10, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Candidates) != 10 {
-		t.Fatalf("got %d candidates", len(res.Candidates))
-	}
-	for i := 1; i < len(res.Candidates); i++ {
-		if res.Candidates[i-1].Cost > res.Candidates[i].Cost {
-			t.Fatal("candidates not sorted by predicted cost")
-		}
-	}
-
-	// Exhaustive float vs quantized scores over the whole index.
-	b := costmodel.NewInferBuffers()
-	b.Reset()
-	feat, err := m.ExtractInfer(b, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := ix.Graph.Len()
-	flt := make([]float64, n)
-	qnt := make([]float64, n)
-	qemb := make([]int8, q.EmbDim)
-	for id := 0; id < n; id++ {
-		flt[id] = m.PredictHead(b, feat, ix.Graph.Vector(id))
-		q.QuantizeEmbedding(qemb, ix.Graph.Vector(id))
-		qnt[id] = m.PredictHeadQuantized(b, q, feat, qemb)
-	}
-	if rho := costmodel.Spearman(flt, qnt); rho < 0.98 {
-		t.Fatalf("quantized/float Spearman over the index = %.4f, want >= 0.98", rho)
-	}
-
-	// The quantized search's best candidate must still rank well under the
-	// float oracle (same bar as the float search test: top 10%).
-	best := math.Inf(1)
-	for _, c := range res.Candidates {
-		if c.Cost < best {
-			best = c.Cost
-		}
-	}
-	bestID := -1
-	for id := 0; id < n; id++ {
-		q.QuantizeEmbedding(qemb, ix.Graph.Vector(id))
-		if m.PredictHeadQuantized(b, q, feat, qemb) == best {
-			bestID = id
-			break
-		}
-	}
-	if bestID < 0 {
-		t.Fatal("quantized best candidate not found in the index")
-	}
-	rank := 0
-	for id := 0; id < n; id++ {
-		if flt[id] < flt[bestID]-1e-9 {
-			rank++
-		}
-	}
-	if rank > n/10 {
-		t.Fatalf("quantized best has float-oracle rank %d of %d", rank, n)
-	}
-
-	// Disabling restores the float path.
-	if err := ix.EnableQuantized(nil); err != nil {
-		t.Fatal(err)
-	}
-	if ix.Quantized() != nil {
-		t.Fatal("EnableQuantized(nil) did not clear the head")
-	}
-}
-
-// TestEnableQuantizedRejectsBadHeads: invalid or architecturally mismatched
-// heads are refused before they can serve a single query.
-func TestEnableQuantizedRejectsBadHeads(t *testing.T) {
-	m := testModel(t)
-	ix, err := BuildIndex(m, sampleSchedules(40, 41), hnsw.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testPattern(42)
-
-	good := calibratedHead(t, ix, p)
-	broken := *good
-	broken.EmbScale = 0
-	if err := ix.EnableQuantized(&broken); err == nil {
-		t.Fatal("EnableQuantized accepted a head that fails Validate")
-	}
-
-	// A head calibrated for a different architecture (narrower hidden layer).
-	cfg := costmodel.Config{
-		Extractor: costmodel.KindHumanFeature,
-		ConvCfg:   testModel(t).Cfg.ConvCfg,
-		EmbDim:    12,
-		HeadDims:  []int{8},
-		Seed:      5,
-	}
-	other, err := costmodel.New(schedule.DefaultSpace(schedule.SpMM), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oix, err := BuildIndex(other, sampleSchedules(10, 43), hnsw.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mismatched := calibratedHead(t, oix, p)
-	if err := ix.EnableQuantized(mismatched); err == nil {
-		t.Fatal("EnableQuantized accepted a head built for a different architecture")
-	}
-	if ix.Quantized() != nil {
-		t.Fatal("rejected head left the index partially enabled")
 	}
 }

@@ -3,56 +3,28 @@ package serve
 import (
 	"context"
 	"testing"
-
-	"waco/internal/tensor"
 )
 
-// TestQuantizedServingRequiresSealedHead: asking for int8 serving against an
-// artifact with no quantized head must fail at startup, not at query time.
-func TestQuantizedServingRequiresSealedHead(t *testing.T) {
-	tun := quickTuner(t)
-	tun.Quantized = nil
-	if _, err := NewServer(tun, Options{Quantized: true}); err == nil {
-		t.Fatal("NewServer accepted quantized serving without a sealed quantized head")
-	}
-}
-
-// TestQuantizedAndPrefilterServing: a server opted into the int8 head and the
-// asymptotic pre-filter answers tunes, reports both in its stats, and a
-// server created WITHOUT those options on the same tuner serves the float
-// path again (options are per-server, not sticky index state).
-func TestQuantizedAndPrefilterServing(t *testing.T) {
-	tun := quickTuner(t)
-	if tun.Quantized == nil {
-		if err := tun.Quantize([]*tensor.COO{testMatrix(71), testMatrix(72)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := NewServer(tun, Options{Quantized: true, PrefilterMargin: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPrefilterServing: a server opted into the asymptotic pre-filter answers
+// tunes and reports its margin in its stats, and a server created WITHOUT
+// the option on the same tuner disables it again (options are per-server,
+// not sticky index state).
+func TestPrefilterServing(t *testing.T) {
+	s := newTestServer(t, Options{PrefilterMargin: 1.5})
 	res, err := s.Tune(context.Background(), testMatrix(73))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Schedule == "" {
-		t.Fatalf("quantized tune returned no schedule: %+v", res)
+		t.Fatalf("pre-filtered tune returned no schedule: %+v", res)
 	}
-	st := s.Snapshot()
-	if !st.Quantized {
-		t.Fatal("stats do not report quantized serving")
-	}
-	if st.PrefilterMargin != 1.5 {
+	if st := s.Snapshot(); st.PrefilterMargin != 1.5 {
 		t.Fatalf("stats report prefilter margin %v, want 1.5", st.PrefilterMargin)
 	}
 
-	// A plain server over the same tuner must reset the index to the float
-	// path and disable the pre-filter.
+	// A plain server over the same tuner must disable the pre-filter.
 	plain := newTestServer(t, Options{})
-	pst := plain.Snapshot()
-	if pst.Quantized || pst.PrefilterMargin != 0 {
-		t.Fatalf("plain server inherited quantized=%v margin=%v from a previous server's options",
-			pst.Quantized, pst.PrefilterMargin)
+	if pst := plain.Snapshot(); pst.PrefilterMargin != 0 {
+		t.Fatalf("plain server inherited margin %v from a previous server's options", pst.PrefilterMargin)
 	}
 }

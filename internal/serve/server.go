@@ -79,12 +79,6 @@ type Options struct {
 	// ReloadFromFile (the /admin/reload and SIGHUP paths) re-reads when no
 	// explicit path is given.
 	ArtifactPath string
-	// Quantized serves predictor-head evaluations on the int8 quantized
-	// path. Requires the artifact to carry a quantized head (version-2
-	// sealed artifacts built with quantization); startup and reload fail
-	// when it does not, so a rotation can never silently fall back to a
-	// different numeric path. Default false: the float path is the oracle.
-	Quantized bool
 	// PrefilterMargin enables the asymptotic-cost pre-filter on the query
 	// path with the given prune margin (log2 units — orders of magnitude of
 	// asymptotic work). 0 disables.
@@ -135,8 +129,9 @@ func (o Options) withDefaults() Options {
 type TuneResult struct {
 	Fingerprint string `json:"fingerprint"`
 	Schedule    string `json:"schedule"`
-	// PredictedCost is the score the search ranked the winner by: the float
-	// head's, or the int8 head's when the tuner serves quantized.
+	// PredictedCost is the score the search ranked the winner by. It always
+	// equals the cost model's Model.Cost of the winner, within float
+	// tolerance (TestColdTunePredictedCostMatchesModel).
 	PredictedCost  float64 `json:"predicted_cost"`
 	KernelSeconds  float64 `json:"kernel_seconds"`
 	TuningSeconds  float64 `json:"tuning_seconds"`
@@ -240,9 +235,7 @@ func NewServer(t *core.Tuner, opts Options) (*Server, error) {
 	s.kernelMetrics = kernel.NewMetrics(reg)
 	t.Index.Metrics = s.searchMetrics
 	t.KernelMetrics = s.kernelMetrics
-	if err := s.applyIndexOptions(t); err != nil {
-		return nil, err
-	}
+	s.applyIndexOptions(t)
 	s.tuner.Store(t)
 	s.artifact.Store(&ArtifactInfo{Version: 1, Stamp: t.ArtifactStamp, LoadedAt: time.Now()})
 	s.metrics = newServerMetrics(reg, s)
@@ -250,20 +243,9 @@ func NewServer(t *core.Tuner, opts Options) (*Server, error) {
 }
 
 // applyIndexOptions configures a tuner's index for this server's serving
-// options (int8 head, pre-filter) before it is swapped in.
-func (s *Server) applyIndexOptions(t *core.Tuner) error {
-	if s.opts.Quantized {
-		if t.Quantized == nil {
-			return fmt.Errorf("serve: quantized serving requested but the artifact carries no quantized head (seal one with quantization enabled)")
-		}
-		if err := t.Index.EnableQuantized(t.Quantized); err != nil {
-			return err
-		}
-	} else if err := t.Index.EnableQuantized(nil); err != nil {
-		return err
-	}
+// options (the pre-filter) before it is swapped in.
+func (s *Server) applyIndexOptions(t *core.Tuner) {
 	t.Index.EnablePrefilter(s.opts.PrefilterMargin)
-	return nil
 }
 
 // Registry returns the server's metrics registry (the /metrics source).
@@ -295,11 +277,7 @@ func (s *Server) Reload(t *core.Tuner) (ArtifactInfo, error) {
 	// Same instruments, new tuner: registration happened once in NewServer.
 	t.Index.Metrics = s.searchMetrics
 	t.KernelMetrics = s.kernelMetrics
-	// Same serving options, new tuner; a failure (e.g. the new artifact lost
-	// its quantized head) rejects the rotation with the old tuner untouched.
-	if err := s.applyIndexOptions(t); err != nil {
-		return ArtifactInfo{}, err
-	}
+	s.applyIndexOptions(t)
 
 	s.mu.Lock()
 	s.retiredHeadEvals.Add(old.Model.HeadEvals())
@@ -610,7 +588,6 @@ type Stats struct {
 	Alg             string  `json:"alg"`
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	IndexSize       int     `json:"index_size"`
-	Quantized       bool    `json:"quantized"`
 	PrefilterMargin float64 `json:"prefilter_margin,omitempty"`
 	BuildSeconds    float64 `json:"artifact_build_seconds"`
 	ArtifactVersion int     `json:"artifact_version"`
@@ -652,7 +629,6 @@ func (s *Server) Snapshot() Stats {
 		Alg:             tun.Cfg.Alg.String(),
 		UptimeSeconds:   time.Since(s.start).Seconds(),
 		IndexSize:       len(tun.Index.Schedules),
-		Quantized:       tun.Index.Quantized() != nil,
 		PrefilterMargin: tun.Index.PrefilterMargin(),
 		BuildSeconds:    tun.BuildSeconds,
 		ArtifactVersion: art.Version,
