@@ -3,6 +3,7 @@ package baselines
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"waco/internal/generate"
@@ -276,5 +277,31 @@ func TestBestFormat3D(t *testing.T) {
 	}
 	if tuned.KernelSeconds <= 0 {
 		t.Fatal("no kernel time")
+	}
+}
+
+// TestStatsConsumersLeaveInput: ComputeStats and BestFormat.Predict only
+// read their argument, so an unsorted, duplicate-bearing COO comes back
+// bit-identical and Predict answers the same for it and its canonical form.
+func TestStatsConsumersLeaveInput(t *testing.T) {
+	c := tensor.NewCOO([]int{40, 40}, 8)
+	for _, e := range [][2]int32{{30, 2}, {1, 1}, {30, 2}, {7, 39}, {1, 1}, {12, 12}, {0, 38}, {30, 2}} {
+		c.Append(float32(e[0])+0.5, e[0], e[1])
+	}
+	before := c.Clone()
+	tensor.ComputeStats(c)
+	if !reflect.DeepEqual(c, before) {
+		t.Fatalf("ComputeStats changed its input: %+v, was %+v", c, before)
+	}
+	bf := NewBestFormat(schedule.SpMM, 3)
+	got := bf.Predict(c)
+	if !reflect.DeepEqual(c, before) {
+		t.Fatalf("Predict changed its input: %+v, was %+v", c, before)
+	}
+	canon := before.Clone()
+	canon.SortRowMajor()
+	canon.Dedup()
+	if want := bf.Predict(canon); got != want {
+		t.Fatalf("Predict = %d on the raw input, %d on its canonical form", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -377,5 +378,35 @@ func TestDeterministicAcrossThreadCounts(t *testing.T) {
 		if d := wl.OutMat().MaxAbsDiff(want); d != 0 {
 			t.Fatalf("parallel result differs by %g on repeat %d", d, rep)
 		}
+	}
+}
+
+// TestNewWorkloadRefusesHugeDenseOperand: a COO-JSON body with one nonzero
+// and dims [1, 1<<30] would need a 2^30-entry dense operand (times N for
+// SpMM); NewWorkload must refuse it instead of allocating.
+func TestNewWorkloadRefusesHugeDenseOperand(t *testing.T) {
+	var body struct {
+		Dims   []int     `json:"dims"`
+		Coords [][]int32 `json:"coords"`
+	}
+	if err := json.Unmarshal([]byte(`{"dims":[1,1073741824],"coords":[[0],[5]]}`), &body); err != nil {
+		t.Fatal(err)
+	}
+	coo := tensor.NewCOO(body.Dims, 1)
+	coo.Append(1, body.Coords[0][0], body.Coords[1][0])
+	for _, alg := range []schedule.Algorithm{schedule.SpMV, schedule.SpMM, schedule.SDDMM} {
+		if _, err := NewWorkload(alg, coo, 256); err == nil {
+			t.Errorf("%v: accepted a %v matrix", alg, coo.Dims)
+		}
+	}
+	// A transposed shape trips the output operand instead.
+	tall := tensor.NewCOO([]int{1 << 27, 1}, 1)
+	tall.Append(1, 0, 0)
+	if _, err := NewWorkload(schedule.SpMM, tall, 1); err == nil {
+		t.Errorf("accepted a %v SpMM output", tall.Dims)
+	}
+	// An ordinary matrix still builds.
+	if _, err := NewWorkload(schedule.SpMV, testMatrix(1, 64, 64, 100), 0); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -38,6 +38,18 @@ func NewWorkload(alg schedule.Algorithm, coo *tensor.COO, denseN int) (*Workload
 	}
 	wl := &Workload{Alg: alg, COO: coo, DenseN: denseN}
 	rows, cols := coo.Dims[0], coo.Dims[1]
+	// The dense operands are sized by the sparse operand's dims, which a
+	// request chooses: refuse any past the assembly budget rather than
+	// allocate it.
+	n := denseN
+	if alg == schedule.SpMV {
+		n = 1
+	}
+	for _, r := range coo.Dims {
+		if r < 0 || n < 0 || (n > 0 && int64(r) > format.DefaultMaxEntries/int64(n)) {
+			return nil, fmt.Errorf("kernel: %d x %d dense operand exceeds %d entries", r, n, format.DefaultMaxEntries)
+		}
+	}
 	switch alg {
 	case schedule.SpMV:
 		wl.bVec = make([]float32, cols)

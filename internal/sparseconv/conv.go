@@ -1,6 +1,7 @@
 package sparseconv
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"waco/internal/nn"
@@ -58,16 +59,14 @@ func kernelOffsets(dim, kernel int) [][]int32 {
 type pair struct{ in, out int32 }
 
 // Apply runs the convolution, recording backward on the tape. The input's
-// gradient buffer is allocated if a tape is supplied.
+// gradient buffer is allocated if a tape is supplied. The rulebook comes
+// from the input's shared geometry, so repeated passes over one coordinate
+// set build it once.
 func (c *Conv) Apply(t *nn.Tape, in *SparseMap) *SparseMap {
 	nn.CheckShape("conv input channels", in.C, c.Cin)
-	var out *SparseMap
-	var rulebook [][]pair
-	if c.Stride == 1 {
-		out, rulebook = c.buildSubmanifold(in)
-	} else {
-		out, rulebook = c.buildStrided(in)
-	}
+	g := c.geom(in)
+	rulebook := g.rulebook
+	out := mapOf(g.out, c.Cout)
 	out.F = make([]float32, out.NumSites()*c.Cout)
 	c.forward(in, out, rulebook)
 	if t != nil {
@@ -132,93 +131,239 @@ func (c *Conv) forward(in, out *SparseMap, rulebook [][]pair) {
 	}
 }
 
-// buildSubmanifold: output sites = input sites; rulebook[off] pairs each
-// output site with the input neighbor at coordinate(site)+offset, when
-// active.
-func (c *Conv) buildSubmanifold(in *SparseMap) (*SparseMap, [][]pair) {
-	out := newSparseMap(in.Dim, in.Extents, c.Cout, in.NumSites())
-	n := in.NumSites()
-	for s := int32(0); s < int32(n); s++ {
-		out.addSite(in.Site(s))
+// geom returns the output site set and rulebook of this layer's kernel and
+// stride on in's coordinates, building and caching them on first use.
+func (c *Conv) geom(in *SparseMap) *convGeom {
+	g := in.geometry()
+	for _, cg := range g.convs {
+		if cg.kernel == c.Kernel && cg.stride == c.Stride {
+			return cg
+		}
 	}
+	cg := &convGeom{kernel: c.Kernel, stride: c.Stride}
+	if c.Stride == 1 {
+		cg.out, cg.rulebook = g, c.buildSubmanifold(g)
+	} else {
+		cg.out, cg.rulebook = c.buildStrided(g)
+	}
+	cg.hdr = [2]*SparseMap{mapOf(cg.out, c.Cout), mapOf(cg.out, c.Cout)}
+	g.convs = append(g.convs, cg)
+	return cg
+}
+
+// buildSubmanifold: output sites = input sites; rulebook[off] pairs each
+// output site, in ascending order, with the input neighbor at
+// coordinate(site)+offset, when active.
+//
+// Inside the extents the neighbor's key is key(site)+key(offset), and the
+// offsets that differ only in the last dimension have consecutive keys. So
+// one merge of the sorted keys against themselves, shifted by each leading
+// offset, finds every pair of a whole kernel row. A shifted key can also
+// land on a real site when a coordinate leaves the extents and borrows from
+// a neighboring dimension, so each match re-checks bounds.
+func (c *Conv) buildSubmanifold(in *geometry) [][]pair {
+	n := in.numSites()
+	dim := in.dim
+	keys := in.keys
+	k := c.Kernel
+	r := int64(k / 2)
 	rulebook := make([][]pair, len(c.offsets))
-	nb := make([]int32, in.Dim)
-	for off, ov := range c.offsets {
-		var pairs []pair
-		for s := int32(0); s < int32(n); s++ {
-			site := in.Site(s)
-			ok := true
-			for d := 0; d < in.Dim; d++ {
-				nb[d] = site[d] + ov[d]
-				if nb[d] < 0 || nb[d] >= in.Extents[d] {
-					ok = false
+	// nb[w*n+s] is site s's neighbor at the w-th offset of the current
+	// kernel row, or -1: matches arrive in key order and leave in site order.
+	nb := make([]int32, k*n)
+	for i := range nb {
+		nb[i] = -1
+	}
+	counts := make([]int, k)
+	for row := 0; row < len(c.offsets); row += k {
+		lead := c.offsets[row] // last component is -r
+		var base int64
+		for d := 0; d < dim-1; d++ {
+			base += int64(lead[d]) * in.place[d]
+		}
+		clear(counts)
+		p := 0
+		for i := 0; i < n && p < n; i++ {
+			lo := keys[i] + base - r
+			for p < n && keys[p] < lo {
+				p++
+			}
+			s := in.site(i)
+			site := in.coords[int(s)*dim : int(s)*dim+dim]
+			inRow := true
+			for d := 0; d < dim-1; d++ {
+				if x := site[d] + lead[d]; x < 0 || x >= in.extents[d] {
+					inRow = false
 					break
 				}
 			}
-			if !ok {
+			if !inRow {
 				continue
 			}
-			if j := in.Lookup(nb); j >= 0 {
-				pairs = append(pairs, pair{in: j, out: s})
+			last := int64(site[dim-1])
+			for q := p; q < n && keys[q] <= lo+2*r; q++ {
+				dc := keys[q] - keys[i] - base
+				if x := last + dc; x < 0 || x >= int64(in.extents[dim-1]) {
+					continue
+				}
+				w := int(dc + r)
+				nb[w*n+int(s)] = in.site(q)
+				counts[w]++
 			}
 		}
-		rulebook[off] = pairs
+		for w := 0; w < k; w++ {
+			pairs := make([]pair, counts[w])
+			col := nb[w*n : (w+1)*n]
+			at := 0
+			for s, j := range col {
+				if j >= 0 {
+					pairs[at] = pair{in: j, out: int32(s)}
+					at++
+					col[s] = -1
+				}
+			}
+			rulebook[row+w] = pairs
+		}
 	}
-	return out, rulebook
+	return rulebook
 }
 
 // buildStrided: out[o] = sum_delta W[delta] * in[stride*o + delta]; output
-// sites are every o receiving at least one contribution.
-func (c *Conv) buildStrided(in *SparseMap) (*SparseMap, [][]pair) {
-	stride := int32(c.Stride)
-	outExt := make([]int32, in.Dim)
-	for d, e := range in.Extents {
-		outExt[d] = (e + stride - 1) / stride
-		if outExt[d] < 1 {
-			outExt[d] = 1
+// sites are every o receiving at least one contribution, numbered in order
+// of first appearance over (offset, input site).
+//
+// Output coordinates are arithmetic, so a count pass over the input sites
+// sizes every offset's rulebook exactly and a fill pass writes each
+// candidate's input site and output key in (offset, site) order. One stable
+// radix sort of those keys then numbers the distinct outputs by first
+// appearance and yields the output's sorted key order for the next layer.
+func (c *Conv) buildStrided(in *geometry) (*geometry, [][]pair) {
+	outExt := make([]int32, in.dim)
+	for d, e := range in.extents {
+		outExt[d] = max(1, (e+int32(c.Stride)-1)/int32(c.Stride))
+	}
+	out := &geometry{dim: in.dim, extents: outExt, place: places(outExt)}
+	sc := newStrideScan(c, out)
+	n := in.numSites()
+
+	counts := make([]int, len(c.offsets))
+	for s := 0; s < n; s++ {
+		if !sc.load(in.coords[s*in.dim : (s+1)*in.dim]) {
+			continue
+		}
+		for _, a := range sc.terms[0] {
+			for _, b := range sc.terms[1] {
+				for _, e := range sc.terms[2] {
+					counts[a.off+b.off+e.off]++
+				}
+			}
 		}
 	}
-	out := newSparseMap(in.Dim, outExt, c.Cout, in.NumSites()/2+1)
+	total := 0
+	for _, cnt := range counts {
+		total += cnt
+	}
+	backing := make([]pair, total)
+	keys := make([]int64, total)
 	rulebook := make([][]pair, len(c.offsets))
-	oc := make([]int32, in.Dim)
-	for off, ov := range c.offsets {
-		var pairs []pair
-		for s := int32(0); s < int32(in.NumSites()); s++ {
-			site := in.Site(s)
-			ok := true
-			for d := 0; d < in.Dim; d++ {
-				t := site[d] - ov[d]
-				if t < 0 || t%stride != 0 {
-					ok = false
-					break
-				}
-				oc[d] = t / stride
-				if oc[d] >= outExt[d] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			j := out.Lookup(oc)
-			if j < 0 {
-				j = out.addSite(oc)
-			}
-			pairs = append(pairs, pair{in: s, out: j})
-		}
-		rulebook[off] = pairs
+	next := counts // reused as each offset's fill cursor
+	at := 0
+	for off, cnt := range counts {
+		rulebook[off] = backing[at : at+cnt : at+cnt]
+		next[off] = at
+		at += cnt
 	}
+	for s := 0; s < n; s++ {
+		if !sc.load(in.coords[s*in.dim : (s+1)*in.dim]) {
+			continue
+		}
+		for _, a := range sc.terms[0] {
+			for _, b := range sc.terms[1] {
+				for _, e := range sc.terms[2] {
+					at := next[a.off+b.off+e.off]
+					next[a.off+b.off+e.off]++
+					backing[at].in = int32(s)
+					keys[at] = a.key + b.key + e.key
+				}
+			}
+		}
+	}
+	var ids []int32
+	ids, out.keys, out.order = firstAppearance(keys, keySpan(outExt))
+	for i, id := range ids {
+		backing[i].out = id
+	}
+	out.coords = decode(out, out.keys, out.order)
 	return out, rulebook
+}
+
+// strideTerm is one dimension's share of a strided candidate: its part of
+// the kernel offset index and of the output site's key.
+type strideTerm struct {
+	off int
+	key int64
+}
+
+// strideScan lists, for one input site at a time, the terms of every
+// dimension. In dimension d the kernel indices i whose offset i-r lands
+// coordinate x on the stride grid are i0, i0+stride, ... with
+// i0 = (x+r) mod stride, and their output coordinates count down from
+// (x+r-i0)/stride. The site's candidates are the cross product of the
+// terms; dimensions past the map's hold one zero term so every site runs
+// the same three loops.
+type strideScan struct {
+	terms    [3][]strideTerm
+	offPlace [3]int
+	k, r, st int32
+	shift    int32 // log2(st) when st is a power of two, else -1
+	out      *geometry
+}
+
+func newStrideScan(c *Conv, out *geometry) *strideScan {
+	sc := &strideScan{k: int32(c.Kernel), r: int32(c.Kernel / 2), st: int32(c.Stride), shift: -1, out: out}
+	if c.Stride&(c.Stride-1) == 0 {
+		sc.shift = int32(bits.TrailingZeros(uint(c.Stride)))
+	}
+	for d, v := 2, 1; d >= 0; d-- {
+		sc.terms[d] = make([]strideTerm, 0, c.Kernel)
+		if d >= out.dim {
+			sc.terms[d] = append(sc.terms[d], strideTerm{})
+			continue
+		}
+		sc.offPlace[d] = v
+		v *= c.Kernel
+	}
+	return sc
+}
+
+// load fills the terms of the site at coord and reports whether it has any
+// candidate.
+func (sc *strideScan) load(coord []int32) bool {
+	for d, x := range coord {
+		t := sc.terms[d][:0]
+		var i, q int32
+		if sc.shift >= 0 { // power-of-two stride: no division on the hot path
+			i, q = (x+sc.r)&(sc.st-1), (x+sc.r)>>sc.shift
+		} else {
+			i, q = (x+sc.r)%sc.st, (x+sc.r)/sc.st
+		}
+		for ; i < sc.k && q >= 0; i, q = i+sc.st, q-1 {
+			if q < sc.out.extents[d] {
+				t = append(t, strideTerm{int(i) * sc.offPlace[d], int64(q) * sc.out.place[d]})
+			}
+		}
+		sc.terms[d] = t
+		if len(t) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ReLUMap applies elementwise ReLU to a sparse map's features.
 func ReLUMap(t *nn.Tape, in *SparseMap) *SparseMap {
-	out := &SparseMap{
-		Dim: in.Dim, Extents: in.Extents, C: in.C,
-		Coords: in.Coords, index: in.index,
-		F: make([]float32, len(in.F)),
-	}
+	out := mapOf(in.geometry(), in.C)
+	out.F = make([]float32, len(in.F))
 	for i, v := range in.F {
 		if v > 0 {
 			out.F[i] = v

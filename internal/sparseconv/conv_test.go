@@ -169,8 +169,7 @@ func convGradCheck(t *testing.T, stride int) {
 	conv := NewConv("g", 2, 1, 2, 3, stride, rng)
 
 	loss := func(tape *nn.Tape) float32 {
-		in := &SparseMap{Dim: sm.Dim, Extents: sm.Extents, C: sm.C, Coords: sm.Coords,
-			F: append([]float32(nil), sm.F...), index: sm.index}
+		in := sm.ShallowClone()
 		out := conv.Apply(tape, in)
 		var s float32
 		for i, v := range out.F {
@@ -310,5 +309,57 @@ func TestWACONet3D(t *testing.T) {
 	feat := net.Extract(nil, sm)
 	if len(feat.V) != 5 {
 		t.Fatalf("3-D feature dim %d", len(feat.V))
+	}
+}
+
+// TestGeometrySharedAcrossPaths: the tape path, its clones and the forward
+// path read one geometry per coordinate set, built once, and agree bit for
+// bit. With FirstKernel 3 every MinkowskiLike layer has the same (kernel,
+// stride), so one rulebook serves them all and a layer's forward input is
+// that rulebook's previous output header.
+func TestGeometrySharedAcrossPaths(t *testing.T) {
+	c := patternFromPoints([]int{24, 20}, [][]int32{{0, 0}, {0, 1}, {1, 1}, {5, 7}, {6, 7}, {23, 19}, {12, 3}, {12, 4}})
+	for _, k := range []int{3, 5} {
+		cfg := Config{Dim: 2, Channels: 3, Depth: 3, FirstKernel: k, OutDim: 4}
+		mink := NewMinkowskiLike(cfg, rand.New(rand.NewSource(12)))
+		wnet := NewWACONet(cfg, rand.New(rand.NewSource(13)))
+		sm, _ := FromCOO(c)
+		var a nn.Arena
+		for pass := 0; pass < 2; pass++ {
+			a.Reset()
+			equalFloats(t, "minkowski", mink.ExtractInfer(&a, sm), mink.Extract(nil, sm.ShallowClone()).V)
+			a.Reset()
+			equalFloats(t, "waconet", wnet.ExtractInfer(&a, sm), wnet.Extract(nil, sm.ShallowClone()).V)
+		}
+		// One stride-1 geometry per distinct kernel, one strided for WACONet.
+		want := 2
+		if k == 3 {
+			want = 1
+		}
+		stride1 := 0
+		for _, cg := range sm.geo.convs {
+			if cg.stride == 1 {
+				stride1++
+				if cg.out != sm.geo {
+					t.Fatal("stride-1 output does not share its input's geometry")
+				}
+			}
+		}
+		if stride1 != want || len(sm.geo.convs) != want+1 {
+			t.Fatalf("kernel %d: %d cached geometries (%d stride-1), want %d stride-1 plus one strided",
+				k, len(sm.geo.convs), stride1, want)
+		}
+	}
+}
+
+func equalFloats(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
+		}
 	}
 }

@@ -6,38 +6,38 @@ import "waco/internal/nn"
 // arithmetic as the nil-tape Apply path (shared via Conv.forward, so outputs
 // are bit-identical), but feature buffers come from an nn.Arena instead of
 // fresh make calls and activations are rectified in place. Rulebook geometry
-// depends only on the input coordinates, never on feature values, so each
-// map caches the geometry per conv layer: repeated extraction of the same
-// pattern rebuilds nothing and allocates nothing after the first pass.
+// depends only on the input coordinates, never on feature values, and is
+// shared with the tape path through the coordinate set's geometry: repeated
+// extraction of the same pattern rebuilds nothing and allocates nothing
+// after the first pass.
 
-// convGeom is the cached geometry of one conv layer applied to one input
-// map: the output site set and the gather-scatter rulebook. The output map
-// object is reused across passes — only its feature buffer is reassigned.
+// convGeom is the cached geometry of one (kernel, stride) applied to one
+// coordinate set: the output site set and the gather-scatter rulebook. For
+// stride 1 the output sites are the input's, so out is the input geometry
+// itself and stacked stride-1 layers of one kernel share a single rulebook.
 type convGeom struct {
-	out      *SparseMap
-	rulebook [][]pair
+	kernel, stride int
+	out            *geometry
+	rulebook       [][]pair
+
+	// hdr holds the two output map headers Infer hands out, reused across
+	// passes with only C and F reassigned. Two, because a stride-1 layer's
+	// input can be this same geometry's previous output header.
+	hdr [2]*SparseMap
 }
 
 // Infer runs the convolution forward-only; the returned map's F is arena
 // scratch, valid until the arena resets, and the map object itself is cached
-// geometry owned by in (also invalidated by reuse — callers keep neither
-// across passes). The input's features are only read.
+// geometry owned by in's coordinate set (also invalidated by reuse — callers
+// keep neither across passes). The input's features are only read.
 func (c *Conv) Infer(a *nn.Arena, in *SparseMap) *SparseMap {
 	nn.CheckShape("conv input channels", in.C, c.Cin)
-	g := in.geom[c]
-	if g == nil {
-		g = &convGeom{}
-		if c.Stride == 1 {
-			g.out, g.rulebook = c.buildSubmanifold(in)
-		} else {
-			g.out, g.rulebook = c.buildStrided(in)
-		}
-		if in.geom == nil {
-			in.geom = make(map[*Conv]*convGeom, 1)
-		}
-		in.geom[c] = g
+	g := c.geom(in)
+	out := g.hdr[0]
+	if out == in {
+		out = g.hdr[1]
 	}
-	out := g.out
+	out.C = c.Cout
 	out.F = a.Alloc(out.NumSites() * c.Cout)
 	c.forward(in, out, g.rulebook)
 	return out

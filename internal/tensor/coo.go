@@ -175,6 +175,21 @@ func (c *COO) Dedup() {
 	c.Vals = c.Vals[:w]
 }
 
+// canonical reports whether the entries are sorted row-major with no
+// duplicate coordinates, the state SortRowMajor and Dedup leave.
+func (c *COO) canonical() bool {
+	rowMajor := &cooSorter{c: c, order: make([]int, c.Order())}
+	for m := range rowMajor.order {
+		rowMajor.order[m] = m
+	}
+	for p := 1; p < c.NNZ(); p++ {
+		if !rowMajor.Less(p-1, p) {
+			return false
+		}
+	}
+	return true
+}
+
 // ErrOrderMismatch reports an operation applied to a tensor of the wrong order.
 var ErrOrderMismatch = errors.New("tensor: order mismatch")
 

@@ -4,9 +4,18 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
+
+// minEntryBytes is the shortest MatrixMarket entry line ("1 1\n", pattern
+// field); a stream of L bytes holds at most L/minEntryBytes entries.
+const minEntryBytes = 4
+
+// unsizedEntries caps the initial entry capacity when the stream's length
+// is unknown; the COO grows past it by append.
+const unsizedEntries = 1 << 16
 
 // ReadMatrixMarket parses a MatrixMarket "coordinate" stream into a COO
 // tensor. It supports the real, integer and pattern fields and the general
@@ -14,6 +23,10 @@ import (
 // entries get value 1. Coordinates in the file are 1-based, as per the
 // format; the returned tensor is 0-based, sorted row-major and deduplicated.
 func ReadMatrixMarket(r io.Reader) (*COO, error) {
+	capHint := unsizedEntries
+	if l, ok := r.(interface{ Len() int }); ok {
+		capHint = l.Len() / minEntryBytes
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 
@@ -68,8 +81,17 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tensor: bad nnz count: %w", err)
 	}
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return nil, fmt.Errorf("tensor: negative MatrixMarket size %dx%d, %d nonzeros", rows, cols, nnz)
+	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return nil, fmt.Errorf("tensor: MatrixMarket dims %dx%d exceed int32 coordinates", rows, cols)
+	}
 
-	out := NewCOO([]int{rows, cols}, nnz)
+	// The header is only a claim: size the first allocation by what the
+	// stream can still hold, not by the declared count.
+	out := NewCOO([]int{rows, cols}, min(nnz, capHint))
+	entries := 0
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -101,6 +123,9 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 		if i < 1 || i > rows || j < 1 || j > cols {
 			return nil, fmt.Errorf("tensor: entry (%d,%d) outside %dx%d", i, j, rows, cols)
 		}
+		if entries++; entries > nnz {
+			return nil, fmt.Errorf("tensor: MatrixMarket header declares %d entries, stream has more", nnz)
+		}
 		out.Append(float32(v), int32(i-1), int32(j-1))
 		if symmetry == "symmetric" && i != j {
 			out.Append(float32(v), int32(j-1), int32(i-1))
@@ -108,6 +133,9 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("tensor: reading MatrixMarket: %w", err)
+	}
+	if entries != nnz {
+		return nil, fmt.Errorf("tensor: MatrixMarket header declares %d entries, stream has %d", nnz, entries)
 	}
 	out.SortRowMajor()
 	out.Dedup()

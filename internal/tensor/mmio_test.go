@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -108,5 +109,31 @@ func TestWriteMatrixMarketWrongOrder(t *testing.T) {
 	c := NewCOO([]int{2, 2, 2}, 0)
 	if err := WriteMatrixMarket(&bytes.Buffer{}, c); err == nil {
 		t.Fatal("accepted order-3 tensor")
+	}
+}
+
+// TestReadMatrixMarketHostileHeader: the size line is a claim, not a size.
+// A tiny body that declares 4·10¹² nonzeros must be refused without
+// allocating for them, and negative or out-of-int32 sizes are refused.
+func TestReadMatrixMarketHostileHeader(t *testing.T) {
+	bodies := map[string]string{
+		"huge nnz":     "%%MatrixMarket matrix coordinate real general\n1 1 4000000000000\n1 1 1.0\n",
+		"negative nnz": "%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 1 1.0\n",
+		"negative dim": "%%MatrixMarket matrix coordinate real general\n-2 2 1\n1 1 1.0\n",
+		"dim > int32":  "%%MatrixMarket matrix coordinate real general\n4294967297 2 1\n1 1 1.0\n",
+		"short stream": "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
+		"long stream":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+	}
+	for name, body := range bodies {
+		if len(body) > 80 {
+			t.Fatalf("%s: body is %d bytes, meant to be tiny", name, len(body))
+		}
+		if _, err := ReadMatrixMarket(strings.NewReader(body)); err == nil {
+			t.Errorf("%s: accepted %q", name, body)
+		}
+		// A reader of unknown length takes the same path.
+		if _, err := ReadMatrixMarket(struct{ io.Reader }{strings.NewReader(body)}); err == nil {
+			t.Errorf("%s (unsized reader): accepted %q", name, body)
+		}
 	}
 }

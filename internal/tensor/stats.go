@@ -22,11 +22,15 @@ type Stats struct {
 }
 
 // ComputeStats computes pattern statistics for an order-2 COO. The input is
-// sorted row-major and deduplicated as a side effect.
+// only read: a COO that is not sorted row-major and duplicate-free is
+// measured through a canonical copy.
 func ComputeStats(c *COO) Stats {
 	st := Stats{NumRows: c.Dims[0], NumCols: c.Dims[1]}
-	c.SortRowMajor()
-	c.Dedup()
+	if !c.canonical() {
+		c = c.Clone()
+		c.SortRowMajor()
+		c.Dedup()
+	}
 	st.NNZ = c.NNZ()
 	if st.NumRows == 0 || st.NumCols == 0 {
 		return st

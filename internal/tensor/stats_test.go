@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -139,5 +140,28 @@ func TestDenseHelpers(t *testing.T) {
 		if v != 0 {
 			t.Fatal("Zero failed")
 		}
+	}
+}
+
+// TestComputeStatsLeavesInput: an unsorted, duplicate-bearing input comes
+// back untouched and measures the same as its canonical form.
+func TestComputeStatsLeavesInput(t *testing.T) {
+	c := NewCOO([]int{6, 5}, 6)
+	for _, e := range [][2]int32{{4, 1}, {0, 3}, {4, 1}, {2, 2}, {0, 3}, {5, 0}} {
+		c.Append(1, e[0], e[1])
+	}
+	before := c.Clone()
+	st := ComputeStats(c)
+	if !reflect.DeepEqual(c, before) {
+		t.Fatalf("input changed: %+v, was %+v", c, before)
+	}
+	canon := before.Clone()
+	canon.SortRowMajor()
+	canon.Dedup()
+	if want := ComputeStats(canon); st != want {
+		t.Fatalf("stats %+v, canonical %+v", st, want)
+	}
+	if st.NNZ != 4 {
+		t.Fatalf("NNZ = %d, want 4 distinct", st.NNZ)
 	}
 }
