@@ -6,20 +6,18 @@
 // Endpoints:
 //
 //	POST /v1/tune        {"matrix": {...}} or {"matrix_market": "..."} -> best SuperSchedule
-//	                     with ?async=1: 202 + job id immediately, tune runs detached
 //	POST /v1/predict     same matrix forms + "k"                       -> top-k predicted schedules
-//	GET  /v1/jobs/{id}                                                 -> async job state/result
 //	GET  /healthz                                                      -> liveness (also /v1/healthz)
 //	GET  /readyz                                                       -> readiness (artifact loaded, not draining)
 //	POST /admin/reload                                                 -> hot-swap the sealed artifact
-//	GET  /v1/stats                                                     -> cache/dedup/search/job counters (JSON)
+//	GET  /v1/stats                                                     -> cache/dedup/search counters (JSON)
 //	GET  /metrics                                                      -> Prometheus text exposition
 //
 // SIGHUP reloads the artifact file in place (same as POST /admin/reload with
 // no body): the new tuner swaps in atomically, in-flight requests finish on
 // the old one, and /v1/stats reports the bumped artifact version and stamp.
-// On SIGINT/SIGTERM the daemon turns /readyz to 503 first — so a router
-// stops sending work — then drains.
+// On SIGINT/SIGTERM the daemon turns /readyz to 503, closes its listener
+// and drains the in-flight requests.
 //
 // With -debug-addr a second listener serves net/http/pprof (profiles stay
 // off the public port). Each request is access-logged via log/slog with a
@@ -66,8 +64,6 @@ func main() {
 	workers := flag.Int("workers", 2, "max concurrent tune/predict searches")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-request tuning deadline (0 = none)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain deadline for in-flight searches")
-	maxJobs := flag.Int("max-jobs", 256, "bound on resident async tune jobs (running + retained results)")
-	jobTTL := flag.Duration("job-ttl", 10*time.Minute, "retention of finished async job results for polling")
 	quiet := flag.Bool("quiet", false, "disable per-request structured access logging")
 	prefilterMargin := flag.Float64("prefilter-margin", 0, "asymptotic-cost pre-filter prune margin in log2 units (0 = disabled)")
 	obslogPath := flag.String("obslog", "", "append-only measurement log file recording every completed tune for waco-retrain (empty = disabled)")
@@ -101,8 +97,6 @@ func main() {
 		CacheSize:       *cacheSize,
 		MaxWorkers:      *workers,
 		RequestTimeout:  *timeout,
-		MaxJobs:         *maxJobs,
-		JobTTL:          *jobTTL,
 		ArtifactPath:    *artifactPath,
 		Logger:          logger,
 		PrefilterMargin: *prefilterMargin,
@@ -156,8 +150,9 @@ loop:
 		}
 	}
 
-	// Readiness goes down first so routers stop sending new work, then the
-	// listener and the request pool drain.
+	// Readiness goes down, then the listener closes and the request pool
+	// drains. Nothing waits in between, so a load balancer sees refused
+	// connections rather than a failing /readyz.
 	srv.BeginDrain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
@@ -178,8 +173,8 @@ loop:
 		}
 	}
 	st := srv.Snapshot()
-	log.Printf("served %d tune + %d predict requests (%d searches, %d deduped, %d cache hits, %d async jobs)",
-		st.TuneRequests, st.PredictRequests, st.Searches, st.DedupedSearches, st.CacheHits, st.JobsSubmitted)
+	log.Printf("served %d tune + %d predict requests (%d searches, %d deduped, %d cache hits)",
+		st.TuneRequests, st.PredictRequests, st.Searches, st.DedupedSearches, st.CacheHits)
 	if obsLog != nil {
 		log.Printf("observation log: %d records appended, %d dropped", obsLog.Appended(), obsLog.Dropped())
 	}

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 
+	"waco/internal/format"
+	"waco/internal/schedule"
 	"waco/internal/tensor"
 )
 
@@ -50,24 +52,35 @@ type errorResponse struct {
 // larger than anything the reduced-scale kernels handle.
 const maxBodyBytes = 64 << 20
 
-// RequestFingerprint decodes the matrix from a tune/predict request body
-// and returns its sparsity fingerprint — the consistent-hash routing key a
-// stateless router needs before it can pick a replica. Decoding is lenient
-// about extra fields (predict bodies carry "k"); full validation still
-// happens on the replica.
-func RequestFingerprint(body []byte) (string, error) {
-	var req struct {
-		Matrix       *MatrixJSON `json:"matrix"`
-		MatrixMarket string      `json:"matrix_market"`
+// Refusal reasons of admitMatrix, the reason label of waco_refused_total.
+const (
+	refuseNNZ          = "nnz"
+	refuseOperandBytes = "operand_bytes"
+)
+
+// admitMatrix refuses a decoded matrix whose work would outgrow the request
+// that carried it. A body is at most maxBodyBytes, but a few dims in it can
+// ask for far more: tuning allocates a dense operand of dim x denseN float32
+// entries for every mode (one entry per row or column for SpMV). The sum of
+// those bytes may not pass maxBodyBytes, which also caps every dim, and nnz
+// may not pass the assembly budget. On refusal it also returns the reason.
+func admitMatrix(coo *tensor.COO, alg schedule.Algorithm, denseN int) (string, error) {
+	if nnz := int64(coo.NNZ()); nnz > format.DefaultMaxEntries {
+		return refuseNNZ, fmt.Errorf("matrix has %d nonzeros, over the %d-entry budget", nnz, format.DefaultMaxEntries)
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", fmt.Errorf("malformed request body: %w", err)
+	n := int64(denseN)
+	if alg == schedule.SpMV || n < 1 {
+		n = 1
 	}
-	coo, err := decodeMatrix(req.Matrix, req.MatrixMarket)
-	if err != nil {
-		return "", err
+	var need int64
+	for _, d := range coo.Dims {
+		// Clamped so the sum cannot overflow; one clamped dim already fails.
+		need += 4 * min(int64(d), maxBodyBytes) * n
 	}
-	return Fingerprint(coo), nil
+	if need > maxBodyBytes {
+		return refuseOperandBytes, fmt.Errorf("dims %v need more than %d bytes of dense operands", coo.Dims, maxBodyBytes)
+	}
+	return "", nil
 }
 
 // decodeMatrix turns either wire form into a validated COO.
@@ -128,14 +141,11 @@ func (m *MatrixJSON) ToCOO() (*tensor.COO, error) {
 
 // Handler returns the service's HTTP mux:
 //
-//	POST /v1/tune          — tune one matrix, returns TuneResult; with
-//	                         ?async=1, returns 202 + a Job immediately and
-//	                         runs the tune as a detached job
+//	POST /v1/tune          — tune one matrix, returns TuneResult
 //	POST /v1/predict       — top-k schedules by predicted cost, no measurement
-//	GET  /v1/jobs/{id}     — poll one async job (works during drain)
 //	GET  /healthz          — liveness (also /v1/healthz, the legacy path)
 //	GET  /readyz           — readiness: artifact loaded and not draining;
-//	                         what a router's health checker must watch
+//	                         what a load balancer's health check must watch
 //	POST /admin/reload     — hot-swap the sealed artifact (body: optional
 //	                         {"artifact": path}, default Options.ArtifactPath)
 //	GET  /v1/stats         — counter snapshot (Stats)
@@ -148,7 +158,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/tune", s.instrument("tune", s.handleTune))
 	mux.HandleFunc("/v1/predict", s.instrument("predict", s.handlePredict))
-	mux.HandleFunc("/v1/jobs/", s.instrument("jobs", s.handleJob))
 	mux.HandleFunc("/v1/healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
@@ -217,6 +226,29 @@ func decodeBody[T any](w http.ResponseWriter, r *http.Request) (*T, bool) {
 	return &req, true
 }
 
+// decodeRequestMatrix turns a tune or predict body's matrix into a COO this
+// server will work on, or writes the refusal: 400 for a malformed matrix or
+// the wrong order, 413 for one admitMatrix refuses.
+func (s *Server) decodeRequestMatrix(w http.ResponseWriter, m *MatrixJSON, mm string) (*tensor.COO, bool) {
+	coo, err := decodeMatrix(m, mm)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	cfg := s.tuner.Load().Cfg
+	if coo.Order() != cfg.Alg.SparseOrder() {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("order-%d tensor for a %v tuner", coo.Order(), cfg.Alg))
+		return nil, false
+	}
+	if reason, err := admitMatrix(coo, cfg.Alg, cfg.Collect.DenseN); err != nil {
+		s.metrics.refused[reason].Inc()
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return nil, false
+	}
+	return coo, true
+}
+
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -227,34 +259,8 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	coo, err := decodeMatrix(req.Matrix, req.MatrixMarket)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	alg := s.tuner.Load().Cfg.Alg
-	if coo.Order() != alg.SparseOrder() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("order-%d tensor for a %v tuner", coo.Order(), alg))
-		return
-	}
-	async := false
-	if raw := r.URL.Query().Get("async"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("malformed async value %q", raw))
-			return
-		}
-		async = v
-	}
-	if async {
-		job, err := s.TuneAsync(coo)
-		if err != nil {
-			s.writeServiceError(w, err)
-			return
-		}
-		annotate(r.Context(), job.Fingerprint, job.State == JobDone, false)
-		writeJSON(w, http.StatusAccepted, job)
+	coo, ok := s.decodeRequestMatrix(w, req.Matrix, req.MatrixMarket)
+	if !ok {
 		return
 	}
 	res, err := s.Tune(r.Context(), coo)
@@ -276,15 +282,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	coo, err := decodeMatrix(req.Matrix, req.MatrixMarket)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	alg := s.tuner.Load().Cfg.Alg
-	if coo.Order() != alg.SparseOrder() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("order-%d tensor for a %v tuner", coo.Order(), alg))
+	coo, ok := s.decodeRequestMatrix(w, req.Matrix, req.MatrixMarket)
+	if !ok {
 		return
 	}
 	scheds, err := s.Predict(r.Context(), coo, req.K)
@@ -293,29 +292,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, PredictResponse{Schedules: scheds})
-}
-
-// handleJob serves GET /v1/jobs/{id}. Job lookups stay truthful across
-// drain: they bypass request admission, so a client polling a job it
-// submitted before the drain began still learns the outcome.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		writeError(w, http.StatusBadRequest, errors.New("job id required: GET /v1/jobs/{id}"))
-		return
-	}
-	job, ok := s.JobGet(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown or expired job %q", id))
-		return
-	}
-	annotate(r.Context(), job.Fingerprint, false, false)
-	writeJSON(w, http.StatusOK, job)
 }
 
 // handleHealthz is liveness: the process is up and answering. It stays 200
@@ -330,8 +306,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is readiness: the artifact is loaded and the server is not
-// draining. Routers health-check this endpoint, not /healthz — a draining
-// replica must stop receiving new work while it finishes old work.
+// draining. Load balancers health-check this endpoint, not /healthz — a
+// draining replica must stop receiving new work while it finishes old work.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

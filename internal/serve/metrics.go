@@ -8,7 +8,7 @@ import (
 )
 
 // endpoints instrumented by the HTTP layer.
-var endpointNames = []string{"tune", "predict", "jobs", "stats", "healthz", "readyz", "reload", "metrics"}
+var endpointNames = []string{"tune", "predict", "stats", "healthz", "readyz", "reload", "metrics"}
 
 // endpointMetrics is one endpoint's request/error/latency triple.
 type endpointMetrics struct {
@@ -26,13 +26,15 @@ type serverMetrics struct {
 	reg       *metrics.Registry
 	endpoints map[string]*endpointMetrics
 	queueWait *metrics.Histogram
+	// refused counts matrices admitMatrix turned away, by reason.
+	refused map[string]*metrics.Counter
 }
 
 // newServerMetrics registers every serving instrument on reg. Called once
 // from NewServer — registration stays out of the request path (enforced by
 // the waco-vet metricreg check).
 func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
-	m := &serverMetrics{reg: reg, endpoints: map[string]*endpointMetrics{}}
+	m := &serverMetrics{reg: reg, endpoints: map[string]*endpointMetrics{}, refused: map[string]*metrics.Counter{}}
 	for _, ep := range endpointNames {
 		l := metrics.Labels{"endpoint": ep}
 		m.endpoints[ep] = &endpointMetrics{
@@ -43,6 +45,11 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			latency: reg.NewHistogram("waco_http_request_seconds",
 				"HTTP request latency by endpoint.", metrics.DefBuckets(), l),
 		}
+	}
+	for _, reason := range []string{refuseNNZ, refuseOperandBytes} {
+		m.refused[reason] = reg.NewCounter("waco_refused_total",
+			"Tune and predict requests refused with 413 before any work, by reason: a matrix whose nonzeros or dense operands outgrow what one request may ask for.",
+			metrics.Labels{"reason": reason})
 	}
 	m.queueWait = reg.NewHistogram("waco_pool_queue_wait_seconds",
 		"Time requests wait for a worker-pool slot before their search starts.",
@@ -63,10 +70,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	counterFunc("waco_costmodel_head_evals_total", "Predictor-head forward passes over the process lifetime (monotone across artifact reloads).",
 		func() uint64 { return s.retiredHeadEvals.Load() + s.tuner.Load().Model.HeadEvals() })
 	counterFunc("waco_artifact_reloads_total", "Successful hot artifact reloads.", s.reloads.Load)
-	counterFunc("waco_jobs_submitted_total", "Async tune jobs admitted.", s.jobs.submitted.Load)
-	counterFunc("waco_jobs_done_total", "Async jobs that finished with a result.", s.jobs.done.Load)
-	counterFunc("waco_jobs_failed_total", "Async jobs whose tune errored.", s.jobs.failed.Load)
-	counterFunc("waco_jobs_aborted_total", "Async jobs aborted by a hard drain deadline.", s.jobs.aborted.Load)
 	if l := s.opts.ObsLog; l != nil {
 		counterFunc("waco_obslog_records_total", "Measurement records accepted into the observation log.", l.Appended)
 		counterFunc("waco_obslog_dropped_total", "Measurement records dropped (buffer full, log closed, or write error).", l.Dropped)
@@ -76,7 +79,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	for _, c := range []struct {
 		class string
 		v     *atomic.Uint64
-	}{{"tune", &s.shedTune}, {"predict", &s.shedPredict}, {"job", &s.shedJobs}} {
+	}{{"tune", &s.shedTune}, {"predict", &s.shedPredict}} {
 		v := c.v
 		reg.NewCounterFunc("waco_shed_total",
 			"Requests rejected by queue-depth load shedding, by priority class (cold tunes shed first, cached answers never).",
@@ -89,10 +92,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		func() float64 { return float64(s.inFlight.Load()) })
 	reg.NewGaugeFunc("waco_pool_queue_depth", "Admitted requests waiting for a worker-pool slot (the shedding signal).", nil,
 		func() float64 { return float64(s.queued.Load()) })
-	reg.NewGaugeFunc("waco_jobs_running", "Async jobs currently executing.", nil,
-		func() float64 { return float64(s.jobs.running.Load()) })
-	reg.NewGaugeFunc("waco_jobs_stored", "Resident jobs (running + retained terminal results).", nil,
-		func() float64 { return float64(s.jobs.Len()) })
 	reg.NewGaugeFunc("waco_index_size", "Indexed SuperSchedules.", nil,
 		func() float64 { return float64(len(s.tuner.Load().Index.Schedules)) })
 	reg.NewGaugeFunc("waco_artifact_version", "In-process version of the serving artifact (1 at startup, +1 per reload).", nil,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -93,5 +94,63 @@ func TestTunesFeedObservationLog(t *testing.T) {
 	}
 	if recs[0].Fingerprint != Fingerprint(coo) {
 		t.Fatalf("first record is %q, want the first tuned matrix", recs[0].Fingerprint)
+	}
+}
+
+// TestHardDrainFlushesObsLog: a Close whose deadline has passed still
+// forces buffered measurements to disk before it returns ctx's error, with
+// a tune stuck in flight. The burst appended just before Close is large
+// enough that the log's writer is still working through it unless Close
+// waits on the flush barrier.
+func TestHardDrainFlushesObsLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "obs.log")
+	l, err := obslog.Open(path, obslog.Options{Host: "test", Buffer: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	s := newTestServer(t, Options{MaxWorkers: 1, ObsLog: l})
+
+	// A tune queued behind a wedged pool: the drain cannot finish.
+	release := blockPool(t, s)
+	defer release()
+	tuneCtx, cancelTune := context.WithCancel(context.Background())
+	defer cancelTune()
+	tuneErr := make(chan error, 1)
+	go func() {
+		_, err := s.Tune(tuneCtx, testMatrix(60))
+		tuneErr <- err
+	}()
+	waitFor(t, func() bool { return s.QueueDepth() >= 1 })
+
+	coo := testMatrix(61)
+	rec := obslog.Record{
+		Fingerprint: Fingerprint(coo),
+		Dims:        coo.Dims,
+		Coords:      coo.Coords,
+		Schedule:    s.Tuner().Index.Schedules[0],
+		Seconds:     1e-3,
+	}
+	for i := 0; i < 128; i++ {
+		if !l.Append(rec) {
+			t.Fatalf("append %d dropped", i)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // deadline already missed: hard drain
+	if err := s.Close(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("hard drain err = %v, want context.Canceled", err)
+	}
+	recs, err := obslog.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != int(l.Appended()) {
+		t.Fatalf("hard drain returned with %d of %d appended records on disk", len(recs), l.Appended())
+	}
+
+	cancelTune()
+	if err := <-tuneErr; err == nil {
+		t.Fatal("tune queued behind a wedged pool succeeded after its context ended")
 	}
 }

@@ -179,7 +179,7 @@ func TestReloadValidation(t *testing.T) {
 }
 
 // TestReloadEndpointsReportIdentity: readyz and stats both carry the
-// artifact version and stamp a router or operator keys rotations on.
+// artifact version and stamp an operator keys rotations on.
 func TestReloadEndpointsReportIdentity(t *testing.T) {
 	s, path := newArtifactServer(t, Options{MaxWorkers: 2})
 	ts := httptest.NewServer(s.Handler())

@@ -8,15 +8,12 @@
 // share one search, and a bounded worker pool so tuning load cannot starve
 // the host.
 //
-// Beyond the synchronous query path the server carries the cluster-facing
-// surface a fleet of replicas needs: an async job API so multi-second tunes
-// never pin an HTTP connection on the bounded pool (POST /v1/tune?async=1
-// returns 202 + a job id, GET /v1/jobs/{id} polls), hot artifact reload
-// (POST /admin/reload or SIGHUP atomically swaps a freshly loaded sealed
-// tuner behind an atomic pointer without dropping in-flight requests),
-// split liveness/readiness health endpoints for router health checking, and
-// queue-depth-driven load shedding with priority classes — cold tunes shed
-// first, cheap cached answers never shed.
+// Around the query path the server carries hot artifact reload (POST
+// /admin/reload or SIGHUP atomically swaps a freshly loaded sealed tuner
+// behind an atomic pointer without dropping in-flight requests), split
+// liveness/readiness health endpoints for a load balancer's health checks,
+// and queue-depth-driven load shedding with priority classes — cold tunes
+// shed first, cheap cached answers never shed.
 package serve
 
 import (
@@ -42,8 +39,8 @@ import (
 var ErrShuttingDown = errors.New("serve: server is shutting down")
 
 // ErrOverloaded is returned when load shedding rejects a request: the pool
-// queue is deeper than the request's priority class tolerates, or the job
-// store has no room. HTTP maps it to 503 with a Retry-After header.
+// queue is deeper than the request's priority class tolerates. HTTP maps it
+// to 503 with a Retry-After header.
 var ErrOverloaded = errors.New("serve: overloaded, retry later")
 
 // Options configures a Server.
@@ -68,13 +65,6 @@ type Options struct {
 	// they tolerate a deeper queue and shed later. Default 16*MaxWorkers;
 	// negative disables shedding for the class.
 	ShedPredictQueue int
-	// MaxJobs bounds the async job store (running + retained terminal
-	// jobs). Submissions beyond it are shed with ErrOverloaded once no
-	// expired or surplus terminal job can be evicted. Default 256.
-	MaxJobs int
-	// JobTTL is how long a terminal (done/failed/aborted) job's result is
-	// retained for polling before expiry. Default 10 minutes.
-	JobTTL time.Duration
 	// ArtifactPath, when set, is the sealed artifact file that
 	// ReloadFromFile (the /admin/reload and SIGHUP paths) re-reads when no
 	// explicit path is given.
@@ -113,12 +103,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShedPredictQueue == 0 {
 		o.ShedPredictQueue = 16 * o.MaxWorkers
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 256
-	}
-	if o.JobTTL <= 0 {
-		o.JobTTL = 10 * time.Minute
 	}
 	return o
 }
@@ -170,18 +154,12 @@ type Server struct {
 	flight   *flightGroup
 	sem      chan struct{}
 	start    time.Time
-	jobs     *jobStore
 
 	// searchMetrics and kernelMetrics are registered once in NewServer and
 	// re-attached to every reloaded tuner, so instruments survive swaps and
 	// registration never happens on a request path.
 	searchMetrics *search.Metrics
 	kernelMetrics *kernel.Metrics
-
-	// baseCtx parents detached async job work; baseCancel fires when a
-	// drain deadline expires so running jobs abort instead of leaking.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 
 	wg       sync.WaitGroup
 	mu       sync.Mutex
@@ -198,7 +176,6 @@ type Server struct {
 	reqSeq      atomic.Uint64
 	shedTune    atomic.Uint64
 	shedPredict atomic.Uint64
-	shedJobs    atomic.Uint64
 	reloads     atomic.Uint64
 	// retiredHeadEvals accumulates head evals of swapped-out models so the
 	// exported counter stays monotone across reloads.
@@ -227,10 +204,8 @@ func NewServer(t *core.Tuner, opts Options) (*Server, error) {
 		flight: newFlightGroup(),
 		sem:    make(chan struct{}, opts.MaxWorkers),
 		start:  time.Now(),
-		jobs:   newJobStore(opts.MaxJobs, opts.JobTTL),
 		logger: opts.Logger,
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.searchMetrics = search.NewMetrics(reg)
 	s.kernelMetrics = kernel.NewMetrics(reg)
 	t.Index.Metrics = s.searchMetrics
@@ -318,7 +293,7 @@ func (s *Server) ReloadFromFile(path string) (ArtifactInfo, error) {
 }
 
 // BeginDrain marks the server not-ready (readyz returns 503) while it keeps
-// answering requests. Routers watching readiness stop sending new work
+// answering requests. Load balancers watching readiness stop sending new work
 // before Close starts rejecting it — the standard pre-shutdown handoff.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
@@ -406,30 +381,22 @@ func (s *Server) requestCtx(ctx context.Context) (context.Context, context.Cance
 // requests for the same fingerprint. Duplicates joining an in-progress
 // search inherit its result — and its error, including cancellation of the
 // owning request's context.
-func (s *Server) Tune(ctx context.Context, coo *tensor.COO) (*TuneResult, error) {
+func (s *Server) Tune(ctx context.Context, coo *tensor.COO) (_ *TuneResult, err error) {
 	if err := s.begin(); err != nil {
 		return nil, err
 	}
 	defer s.end()
 	s.tuneReqs.Add(1)
+	defer func() {
+		if err != nil {
+			s.errCount.Add(1)
+		}
+	}()
 
 	if err := coo.Validate(); err != nil {
-		s.errCount.Add(1)
 		return nil, err
 	}
 	fp := Fingerprint(coo)
-	res, err := s.tune(ctx, coo, fp)
-	if err != nil {
-		s.errCount.Add(1)
-		return nil, err
-	}
-	return res, nil
-}
-
-// tune is the shared cache → shed → singleflight → search path behind both
-// the synchronous Tune and the async job runner. The caller owns admission
-// (begin/end) and error accounting.
-func (s *Server) tune(ctx context.Context, coo *tensor.COO, fp string) (*TuneResult, error) {
 	if v, ok := s.cache.Get(fp); ok {
 		out := *v.(*TuneResult)
 		out.Cached = true
@@ -609,13 +576,6 @@ type Stats struct {
 	QueueDepth      int64   `json:"queue_depth"`
 	ShedTune        uint64  `json:"shed_tune"`
 	ShedPredict     uint64  `json:"shed_predict"`
-	ShedJobs        uint64  `json:"shed_jobs"`
-	JobsSubmitted   uint64  `json:"jobs_submitted"`
-	JobsRunning     int64   `json:"jobs_running"`
-	JobsDone        uint64  `json:"jobs_done"`
-	JobsFailed      uint64  `json:"jobs_failed"`
-	JobsAborted     uint64  `json:"jobs_aborted"`
-	JobsStored      int     `json:"jobs_stored"`
 	ObsLogPath      string  `json:"obslog_path,omitempty"`
 	ObsLogRecords   uint64  `json:"obslog_records,omitempty"`
 	ObsLogDropped   uint64  `json:"obslog_dropped,omitempty"`
@@ -650,13 +610,6 @@ func (s *Server) Snapshot() Stats {
 		QueueDepth:      s.queued.Load(),
 		ShedTune:        s.shedTune.Load(),
 		ShedPredict:     s.shedPredict.Load(),
-		ShedJobs:        s.shedJobs.Load(),
-		JobsSubmitted:   s.jobs.submitted.Load(),
-		JobsRunning:     s.jobs.running.Load(),
-		JobsDone:        s.jobs.done.Load(),
-		JobsFailed:      s.jobs.failed.Load(),
-		JobsAborted:     s.jobs.aborted.Load(),
-		JobsStored:      s.jobs.Len(),
 	}
 	if l := s.opts.ObsLog; l != nil {
 		st.ObsLogPath = l.Path()
@@ -666,11 +619,11 @@ func (s *Server) Snapshot() Stats {
 	return st
 }
 
-// Close stops admitting requests and drains the in-flight ones — including
-// detached async jobs, which count toward the same WaitGroup. If the drain
-// outlives ctx, the server cancels the base context that parents async job
-// work so running jobs abort (persisting a terminal "aborted" state instead
-// of vanishing), briefly waits for that unwind, and reports ctx's error.
+// Close stops admitting requests and drains the in-flight ones. Whether
+// the drain finishes or ctx ends first, buffered observation-log records
+// are flushed before Close returns, so a restart never strands the tail of
+// the log; a missed deadline returns ctx's error and leaves the unfinished
+// requests to end on their own contexts.
 func (s *Server) Close(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -681,27 +634,14 @@ func (s *Server) Close(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		// Drained cleanly: force buffered measurements to disk so a rolling
-		// restart never strands the tail of the observation log.
-		if l := s.opts.ObsLog; l != nil {
-			_ = l.Flush() //waco:nolint errdrop -- a flush failure is sticky in Log.Err and counted in /metrics; drain success is about requests, not the advisory log
-		}
-		return nil
 	case <-ctx.Done():
-	}
-	// Deadline missed: abort detached jobs and give the cancellation a
-	// moment to unwind, so job states are terminal rather than dangling.
-	s.baseCancel()
-	grace := time.NewTimer(5 * time.Second)
-	defer grace.Stop()
-	select {
-	case <-done:
-	case <-grace.C:
+		err = ctx.Err()
 	}
 	if l := s.opts.ObsLog; l != nil {
-		_ = l.Flush() //waco:nolint errdrop -- same as the clean-drain flush above: sticky in Log.Err, surfaced via /metrics
+		_ = l.Flush() //waco:nolint errdrop -- a flush failure is sticky in Log.Err and counted in /metrics; drain success is about requests, not the advisory log
 	}
-	return ctx.Err()
+	return err
 }

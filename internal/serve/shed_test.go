@@ -129,7 +129,7 @@ func TestShedHTTPRetryAfter(t *testing.T) {
 }
 
 // TestDrainSplitsHealthzFromReadyz: BeginDrain turns readiness off while
-// liveness stays on — the router stops sending new work, the orchestrator
+// liveness stays on — the load balancer stops sending new work, the orchestrator
 // does not kill the pod mid-drain.
 func TestDrainSplitsHealthzFromReadyz(t *testing.T) {
 	s := newTestServer(t, Options{MaxWorkers: 1})
@@ -167,6 +167,53 @@ func TestDrainSplitsHealthzFromReadyz(t *testing.T) {
 	// Requests already admitted keep working through the drain window.
 	if _, err := s.Tune(context.Background(), testMatrix(320)); err != nil {
 		t.Fatalf("tune during drain (pre-close): %v", err)
+	}
+}
+
+// TestDrainLetsRunningTunesFinish is the graceful half of the drain
+// contract: Close waits for an admitted tune, refuses new work from the
+// moment it starts, and returns nil once the tune has finished with its
+// answer.
+func TestDrainLetsRunningTunesFinish(t *testing.T) {
+	s := newTestServer(t, Options{MaxWorkers: 1})
+	release := blockPool(t, s)
+	defer release()
+
+	type outcome struct {
+		res *TuneResult
+		err error
+	}
+	tuned := make(chan outcome, 1)
+	go func() {
+		res, err := s.Tune(context.Background(), testMatrix(50))
+		tuned <- outcome{res, err}
+	}()
+	waitFor(t, func() bool { return s.QueueDepth() >= 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close(ctx) }()
+	waitFor(t, s.Draining)
+
+	if _, err := s.Tune(context.Background(), testMatrix(51)); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("tune during drain: err = %v, want ErrShuttingDown", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) with a tune still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	release()
+	if got := <-tuned; got.err != nil || got.res == nil || got.res.Schedule == "" {
+		t.Fatalf("in-flight tune across drain: res=%+v err=%v", got.res, got.err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("drain did not finish: %v", err)
+	}
+	if _, err := s.Predict(context.Background(), testMatrix(52), 2); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("predict after drain: err = %v, want ErrShuttingDown", err)
 	}
 }
 

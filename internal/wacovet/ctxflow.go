@@ -28,7 +28,6 @@ func DefaultCtxflowConfig(module string) CtxflowConfig {
 			module + "/internal/core",
 			module + "/internal/search",
 			module + "/internal/serve",
-			module + "/internal/cluster",
 		},
 		Callees: map[string][]string{
 			module + "/internal/kernel": {"Measure", "MeasureSchedule"},

@@ -13,8 +13,8 @@ package wacovet
 //   - a call into the parallelism pool (the pool owns the lifecycle)
 //
 // Anything else is a finding at the go statement. The depth-limited callee
-// walk matters in practice: serve's async jobs spawn `go func() { defer
-// s.end(); ... }` where end() hides the wg.Done one call away.
+// walk matters in practice: a body like `go func() { defer s.end(); ... }`
+// hides its wg.Done one call away, inside end().
 
 import (
 	"go/ast"
@@ -36,13 +36,12 @@ type GoleakConfig struct {
 	Depth int
 }
 
-// DefaultGoleakConfig covers the serving tier: the daemon, the router, and
-// the packages behind them.
+// DefaultGoleakConfig covers the serving tier: the daemons and the package
+// behind them.
 func DefaultGoleakConfig(module string) GoleakConfig {
 	return GoleakConfig{
 		Packages: []string{
 			module + "/internal/serve",
-			module + "/internal/cluster",
 			module + "/cmd/...",
 		},
 		PoolPkgs: []string{module + "/internal/parallelism"},

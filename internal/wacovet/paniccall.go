@@ -22,7 +22,6 @@ func DefaultPaniccallConfig(module string) PaniccallConfig {
 	return PaniccallConfig{
 		Roots: []string{
 			module + "/internal/serve",
-			module + "/internal/cluster",
 		},
 		Within: []string{module + "/internal/..."},
 	}

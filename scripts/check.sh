@@ -34,12 +34,11 @@ fi
 # Race-test every package that actually bears concurrency, derived from the
 # import graph instead of a hand-maintained list (which had gone stale and
 # silently skipped packages). Derived from ./... — not ./internal/... — so
-# the concurrency-bearing cmd/* entry points (waco-router's fan-out,
-# waco-serve's drain) are covered too; those reach sync only through
-# internal/serve and internal/cluster, so bearing propagates to fixpoint
-# through module-internal imports: a package bears concurrency if it (or its
-# tests) imports sync or sync/atomic directly, or imports a module package
-# that bears it.
+# the concurrency-bearing cmd/* entry points (waco-serve's drain) are
+# covered too; those reach sync only through internal/serve, so bearing
+# propagates to fixpoint through module-internal imports: a package bears
+# concurrency if it (or its tests) imports sync or sync/atomic directly, or
+# imports a module package that bears it.
 race_pkgs=$(go list -f '{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}}' ./... |
 	awk -F': ' '
 	{ pkg[$1] = $2 }
